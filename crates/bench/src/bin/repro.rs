@@ -5,7 +5,7 @@
 //! repro --figure 19     # Figure 19 only
 //! repro --figure 20     # Figure 20 only
 //! repro --figure 21     # Figure 21 only
-//! repro --table shredding | warmcold | caching | bulk | join | fuzz | churn | profile | dist | serve | ablation
+//! repro --table shredding | warmcold | caching | bulk | join | fuzz | churn | profile | dist | serve | ablation | scaling
 //! repro --seed 7        # different workload seed
 //! repro --metrics-dir target   # where the metrics snapshot lands
 //! repro --trace-out trace.json # Chrome trace of a sharded corpus sweep
@@ -20,11 +20,12 @@
 use p3p_bench::bench_serve_json;
 use p3p_bench::{
     ablation_table, bench_bulk_json, bench_churn_json, bench_dist_json, bench_fuzz_json,
-    bench_join_json, bench_matching_json, bench_profile_json, bulk_report, bulk_table,
-    caching_report, caching_table, churn_report, churn_table, dist_report, dist_table,
+    bench_join_json, bench_matching_json, bench_profile_json, bench_scaling_json, bulk_report,
+    bulk_table, caching_report, caching_table, churn_report, churn_table, dist_report, dist_table,
     export_trace, figure19, figure20, figure21, fuzz_report, fuzz_table, join_report, join_table,
-    profile_report, profile_table, scaling_table, serve_report, serve_table, shredding_table,
-    subset_table, telemetry_table, warm_cold_table, DEFAULT_SEED,
+    profile_report, profile_table, scaling_rows, scaling_rows_growth, scaling_table, serve_report,
+    serve_table, shredding_table, subset_table, telemetry_table, warm_cold_table, DEFAULT_SEED,
+    SCALING_MAX_ROWS_GROWTH, SCALING_SIZES,
 };
 
 fn main() {
@@ -421,8 +422,29 @@ fn main() {
     if all || tables.iter().any(|t| t == "ablation") {
         println!("{}", ablation_table(seed));
     }
+    let mut scaling_ok = true;
     if all || tables.iter().any(|t| t == "scaling") {
-        println!("{}", scaling_table(seed));
+        let rows = scaling_rows(seed, &SCALING_SIZES);
+        println!("{}", scaling_table(&rows));
+        let json = bench_scaling_json(seed, &rows);
+        let path = std::path::Path::new("BENCH_scaling.json");
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {}\n", path.display()),
+            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
+        }
+        // Row counts are exact for a fixed seed, so the gate needs no
+        // noise band: a point match must not read more of a larger
+        // corpus.
+        let growth = scaling_rows_growth(&rows);
+        if growth > SCALING_MAX_ROWS_GROWTH {
+            eprintln!(
+                "error: SQL rows per match grow {growth:.2}x from {} to {} policies (gate \
+                 {SCALING_MAX_ROWS_GROWTH:.1}x)",
+                rows.first().map_or(0, |r| r.policies),
+                rows.last().map_or(0, |r| r.policies),
+            );
+            scaling_ok = false;
+        }
     }
     if all || tables.iter().any(|t| t == "subset") {
         println!("{}", subset_table());
@@ -448,6 +470,7 @@ fn main() {
         || !profile_ok
         || !dist_ok
         || !serve_ok
+        || !scaling_ok
     {
         std::process::exit(1);
     }

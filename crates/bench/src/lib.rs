@@ -1192,13 +1192,73 @@ pub fn ablation_table(seed: u64) -> String {
 // Scaling (extension beyond the paper: latency vs corpus size)
 // ----------------------------------------------------------------------
 
+/// One corpus size of the scaling table: mean latencies over the
+/// sampled policies plus the SQL engine's executor work per match.
+#[derive(Debug, Clone)]
+pub struct ScalingRow {
+    pub policies: usize,
+    pub sql: Duration,
+    pub native: Duration,
+    pub routing: Duration,
+    /// Sampled SQL matches.
+    pub sql_matches: u64,
+    /// Rows the executor visited across the sampled SQL matches.
+    pub sql_rows_scanned: u64,
+    /// EXISTS hash-set builds across the sampled SQL matches.
+    pub sql_exists_builds: u64,
+    /// The same SQL matches under the forced count rule at 8
+    /// (decorrelate an EXISTS on its 9th evaluation): mean latency,
+    /// rows visited, and builds.
+    pub count_rule_sql: Duration,
+    pub count_rule_rows_scanned: u64,
+    pub count_rule_exists_builds: u64,
+}
+
+impl ScalingRow {
+    fn per_match(&self, total: u64) -> f64 {
+        total as f64 / self.sql_matches.max(1) as f64
+    }
+
+    /// Executor rows visited per SQL match (exact for a fixed seed).
+    pub fn sql_rows_per_match(&self) -> f64 {
+        self.per_match(self.sql_rows_scanned)
+    }
+
+    /// EXISTS hash-set builds per SQL match.
+    pub fn sql_builds_per_match(&self) -> f64 {
+        self.per_match(self.sql_exists_builds)
+    }
+
+    /// Rows visited per SQL match under the count rule at 8.
+    pub fn count_rule_rows_per_match(&self) -> f64 {
+        self.per_match(self.count_rule_rows_scanned)
+    }
+
+    /// EXISTS hash-set builds per SQL match under the count rule at 8.
+    pub fn count_rule_builds_per_match(&self) -> f64 {
+        self.per_match(self.count_rule_exists_builds)
+    }
+}
+
+/// Corpus sizes of the scaling table: the paper's 29 policies up to the
+/// 2,000 the daemon benchmark serves.
+pub const SCALING_SIZES: [usize; 4] = [29, 100, 250, 2000];
+
+/// The scaling gate: SQL rows per match at the largest corpus may be at
+/// most this multiple of the figure at the smallest.
+pub const SCALING_MAX_ROWS_GROWTH: f64 = 2.0;
+
 /// Measure how matching and URI routing scale with the number of
 /// installed policies — the growth curve behind the paper's claim that
-/// database technology carries P3P to real deployments. SQL matching
-/// stays flat because `applicablePolicy()` narrows work to one policy
-/// via indexes; the native engine is per-policy to begin with; what
-/// grows is only the routing query, and indexes keep that cheap.
-pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<(usize, Duration, Duration, Duration)> {
+/// database technology carries P3P to real deployments. A SQL match
+/// should touch only the matched policy's rows: `applicablePolicy()`
+/// narrows the outer query to one policy and every nested EXISTS is an
+/// index probe keyed by its parent's id, so rows per match must not grow
+/// with the corpus. Every SQL match also runs under the forced count
+/// rule at 8, the executor's earlier default, for comparison. The native
+/// engine is per-policy to begin with; the routing query scans every
+/// POLICY-REF, so it grows with the corpus.
+pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<ScalingRow> {
     let ruleset = Sensitivity::High.ruleset();
     let mut out = Vec::new();
     for &n in sizes {
@@ -1220,12 +1280,27 @@ pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<(usize, Duration, Duratio
         let mut sql = Sample::default();
         let mut native = Sample::default();
         let mut routing = Sample::default();
+        let mut count_rule = Sample::default();
+        let (mut rows_scanned, mut exists_builds) = (0, 0);
+        let (mut count_rule_rows, mut count_rule_builds) = (0, 0);
         for name in &sample {
             let t = Instant::now();
-            server
+            let outcome = server
                 .match_preference(&ruleset, Target::Policy(name), EngineKind::Sql)
                 .expect("sql match");
             sql.push(t.elapsed());
+            rows_scanned += outcome.db_stats.rows_scanned;
+            exists_builds += outcome.db_stats.exists_builds;
+            // The verdict cache keys on the override, so this re-runs
+            // the query rather than answering from the match above.
+            p3p_minidb::exec::set_decorrelate_after(Some(8));
+            let t = Instant::now();
+            let outcome = server.match_preference(&ruleset, Target::Policy(name), EngineKind::Sql);
+            count_rule.push(t.elapsed());
+            p3p_minidb::exec::set_decorrelate_after(None);
+            let outcome = outcome.expect("sql match under the count rule");
+            count_rule_rows += outcome.db_stats.rows_scanned;
+            count_rule_builds += outcome.db_stats.exists_builds;
             let t = Instant::now();
             server
                 .match_preference(&ruleset, Target::Policy(name), EngineKind::Native)
@@ -1236,37 +1311,139 @@ pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<(usize, Duration, Duratio
             server.resolve(Target::Uri(&uri)).expect("routes");
             routing.push(t.elapsed());
         }
-        out.push((n, sql.avg(), native.avg(), routing.avg()));
+        out.push(ScalingRow {
+            policies: n,
+            sql: sql.avg(),
+            native: native.avg(),
+            routing: routing.avg(),
+            sql_matches: u64::from(sql.count),
+            sql_rows_scanned: rows_scanned,
+            sql_exists_builds: exists_builds,
+            count_rule_sql: count_rule.avg(),
+            count_rule_rows_scanned: count_rule_rows,
+            count_rule_exists_builds: count_rule_builds,
+        });
     }
     out
 }
 
+/// SQL rows per match at the largest corpus over the smallest — the
+/// quantity the scaling gate bounds by [`SCALING_MAX_ROWS_GROWTH`].
+pub fn scaling_rows_growth(rows: &[ScalingRow]) -> f64 {
+    match (rows.first(), rows.last()) {
+        (Some(first), Some(last)) => {
+            last.sql_rows_per_match() / first.sql_rows_per_match().max(1.0)
+        }
+        _ => 1.0,
+    }
+}
+
 /// Render the scaling table.
-pub fn scaling_table(seed: u64) -> String {
-    let rows = scaling_rows(seed, &[29, 100, 250]);
+pub fn scaling_table(rows: &[ScalingRow]) -> String {
     let mut out = String::new();
-    out.push_str(
-        "Scaling (extension): matching latency vs installed policies
-",
-    );
+    out.push_str("Scaling (extension): matching latency vs installed policies\n");
     out.push_str(&format!(
-        "{:>10} {:>14} {:>14} {:>14}
-",
-        "policies", "SQL match", "native match", "URI routing"
+        "{:>8} {:>11} {:>10} {:>8} {:>11} {:>10} {:>10} {:>10} {:>8}\n",
+        "policies",
+        "SQL match",
+        "rows/match",
+        "builds",
+        "count rule",
+        "rows/match",
+        "builds",
+        "native",
+        "routing"
     ));
-    for (n, sql, native, routing) in rows {
+    for row in rows {
         out.push_str(&format!(
-            "{n:>10} {:>14} {:>14} {:>14}
-",
-            fmt_duration(sql),
-            fmt_duration(native),
-            fmt_duration(routing)
+            "{:>8} {:>11} {:>10.1} {:>8.2} {:>11} {:>10.1} {:>10.2} {:>10} {:>8}\n",
+            row.policies,
+            fmt_duration(row.sql),
+            row.sql_rows_per_match(),
+            row.sql_builds_per_match(),
+            fmt_duration(row.count_rule_sql),
+            row.count_rule_rows_per_match(),
+            row.count_rule_builds_per_match(),
+            fmt_duration(row.native),
+            fmt_duration(row.routing),
         ));
     }
-    out.push_str(
-        "(SQL matching is corpus-size independent: applicablePolicy() isolates one policy)
-",
-    );
+    out.push_str(&format!(
+        "(SQL columns: break-even rule; count rule: decorrelate on the 9th EXISTS evaluation. \
+         SQL rows per match grow {:.2}x from the smallest to the largest corpus; gate {:.1}x)\n",
+        scaling_rows_growth(rows),
+        SCALING_MAX_ROWS_GROWTH
+    ));
+    out
+}
+
+/// The revision of the checkout this binary was built from, suffixed
+/// `-dirty` when it has uncommitted changes, or `"unknown"` when that
+/// checkout is not a git work tree (git is kept from searching the
+/// directories above it).
+pub fn git_rev() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = root.canonicalize().unwrap_or(root);
+    let mut git = std::process::Command::new("git");
+    git.arg("-C")
+        .arg(&root)
+        .args(["describe", "--always", "--dirty", "--abbrev=12"]);
+    if let Some(parent) = root.parent() {
+        git.env("GIT_CEILING_DIRECTORIES", parent);
+    }
+    git.output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// `BENCH_scaling.json`: per-size latencies and SQL executor work per
+/// match, with provenance and the rows-growth gate's verdict.
+pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow]) -> String {
+    let growth = scaling_rows_growth(rows);
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str(&format!("  \"seed\": {seed},\n"));
+    out.push_str("  \"ruleset\": \"high\",\n");
+    out.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
+    out.push_str(&format!(
+        "  \"parallelism\": {},\n",
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    ));
+    out.push_str("  \"sizes\": [\n");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"policies\": {}, \"sql_match_us\": {:.2}, \"native_match_us\": {:.2}, \
+             \"routing_us\": {:.2}, \"sql_matches\": {}, \"sql_rows_per_match\": {:.1}, \
+             \"sql_exists_builds_per_match\": {:.2}, \"count_rule_sql_match_us\": {:.2}, \
+             \"count_rule_rows_per_match\": {:.1}, \"count_rule_exists_builds_per_match\": \
+             {:.2}}}{}\n",
+            row.policies,
+            us(row.sql),
+            us(row.native),
+            us(row.routing),
+            row.sql_matches,
+            row.sql_rows_per_match(),
+            row.sql_builds_per_match(),
+            us(row.count_rule_sql),
+            row.count_rule_rows_per_match(),
+            row.count_rule_builds_per_match(),
+            if i + 1 < rows.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str(&format!("  \"sql_rows_growth\": {growth:.3},\n"));
+    out.push_str(&format!(
+        "  \"sql_rows_growth_max\": {SCALING_MAX_ROWS_GROWTH:.1},\n"
+    ));
+    out.push_str(&format!(
+        "  \"rows_gate_passed\": {}\n",
+        growth <= SCALING_MAX_ROWS_GROWTH
+    ));
+    out.push_str("}\n");
     out
 }
 
@@ -1995,8 +2172,22 @@ mod tests {
     fn scaling_rows_cover_requested_sizes() {
         let rows = scaling_rows(DEFAULT_SEED, &[29, 60]);
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, 29);
-        assert_eq!(rows[1].0, 60);
+        assert_eq!(rows[0].policies, 29);
+        assert_eq!(rows[1].policies, 60);
+        for row in &rows {
+            assert!(row.sql_matches >= 10, "{row:?}");
+            assert!(row.sql_rows_scanned > 0, "{row:?}");
+        }
+        let json = bench_scaling_json(DEFAULT_SEED, &rows);
+        for key in [
+            "\"git_rev\"",
+            "\"parallelism\"",
+            "\"sql_rows_per_match\"",
+            "\"rows_gate_passed\"",
+        ] {
+            assert!(json.contains(key), "{key} missing:\n{json}");
+        }
+        assert!(scaling_table(&rows).contains("count rule"));
     }
 
     #[test]

@@ -297,11 +297,13 @@ impl PolicyServer {
 
     /// The executor-knob word baked into every verdict-cache key, so a
     /// knob A/B comparison can never be answered from the other arm's
-    /// memoized verdict.
+    /// memoized verdict. The decorrelation override is encoded as set
+    /// (`k + 1`) or unset (`0`), so the break-even default and a forced
+    /// count never share a key.
     fn knob_word(&self) -> u64 {
         let planner = self.db.use_planner() as u64;
         let columnar = p3p_minidb::exec::columnar_enabled() as u64;
-        let decorrelate = p3p_minidb::exec::decorrelate_after() as u64;
+        let decorrelate = p3p_minidb::exec::decorrelate_override().map_or(0, |k| u64::from(k) + 1);
         planner | (columnar << 1) | (decorrelate << 2)
     }
 
@@ -1649,5 +1651,42 @@ mod tests {
             "columnar off must not reuse the columnar-on verdict"
         );
         assert_eq!(s.verdict_cache_stats().entries, 2);
+    }
+
+    #[test]
+    fn forced_decorrelation_count_never_shares_the_default_rules_verdicts() {
+        // `Some(8)` forces the count rule with the same number the
+        // columnar pre-flight uses by default; the two arms still run
+        // different EXISTS strategies and must key apart.
+        let mut s = server_with_volga();
+        s.set_verdict_cache_capacity(256);
+        let jane = jane_preference();
+        let default_rule = s
+            .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
+            .unwrap();
+        assert!(!default_rule.verdict_cached);
+        let mut arms = Vec::new();
+        for forced in [Some(8), Some(0), Some(u32::MAX)] {
+            p3p_minidb::exec::set_decorrelate_after(forced);
+            let out = s
+                .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
+                .unwrap();
+            arms.push((forced, out.verdict_cached, s.knob_word()));
+            p3p_minidb::exec::set_decorrelate_after(None);
+        }
+        for (forced, cached, _) in &arms {
+            assert!(!cached, "{forced:?} reused another arm's verdict");
+        }
+        assert_eq!(s.verdict_cache_stats().entries, 4);
+        let mut words: Vec<u64> = arms.iter().map(|a| a.2).collect();
+        words.push(s.knob_word());
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), 4, "every arm has its own knob word");
+        // Back on the default rule, the first verdict is served again.
+        let again = s
+            .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
+            .unwrap();
+        assert!(again.verdict_cached);
     }
 }

@@ -35,6 +35,11 @@ use crate::sql::ast::{CompareOp, Expr, SelectItem, SelectStmt, TableRef};
 use crate::table::Table;
 use crate::value::{like_match, Value};
 
+/// Candidate-row count at or below which an EXISTS statement is left to
+/// the row engine's correlated loop, unless an evaluation-count override
+/// ([`exec::set_decorrelate_after`]) replaces it.
+const EXISTS_MIN_CANDIDATES: u32 = 8;
+
 /// Rows evaluated per batch. Large enough to amortize dispatch, small
 /// enough that a batch's selection vector stays cache-resident.
 pub const BATCH: usize = 1024;
@@ -198,9 +203,13 @@ enum Spec<'a> {
         has_any_items: bool,
         negated: bool,
     },
+    /// `col LIKE 'text'`, or with `pattern_in_column` set,
+    /// `'text' LIKE col` (a column of patterns matched against one
+    /// string, as URI routing does).
     Like {
         col: usize,
-        pattern: String,
+        text: String,
+        pattern_in_column: bool,
         negated: bool,
     },
     Not(Box<Spec<'a>>),
@@ -241,8 +250,8 @@ pub(crate) fn try_select(
     params: &[Value],
 ) -> Result<Option<QueryResult>, DbError> {
     // Cheap pre-flight before any kernel compilation: resolve the one
-    // table and count candidate rows. Below the adaptive threshold the
-    // row engine's correlated loop beats building hash sets, so an
+    // table and count candidate rows. Over a few candidates the row
+    // engine's correlated loop beats building hash sets, so an
     // EXISTS statement over few candidates declines *here* — compiling
     // kernels first and then declining charged every XTABLE staging
     // query (a one-row outer table) the full compile cost for nothing,
@@ -258,7 +267,8 @@ pub(crate) fn try_select(
     let probe = exec::probe_candidates(db, tref, table, stmt.filter.as_ref(), params, profiling)?;
     let candidates = probe.as_ref().map_or(table.len(), |p| p.ids.len());
     if stmt.filter.as_ref().is_some_and(filter_has_exists)
-        && (candidates as u64) <= u64::from(exec::decorrelate_after())
+        && (candidates as u64)
+            <= u64::from(exec::decorrelate_override().unwrap_or(EXISTS_MIN_CANDIDATES))
     {
         return Ok(None);
     }
@@ -734,14 +744,29 @@ fn compile_pred<'a>(
             let pat = match side(pattern, binding, table, params)? {
                 Side::Lit(Value::Null) => return Some(Spec::Const(None)),
                 Side::Lit(Value::Text(p)) => p,
-                // Non-text patterns and column patterns can raise the
-                // row engine's type error per row — fall back.
+                Side::Col(col) if col_type(table, col) == DataType::Text => {
+                    return match side(expr, binding, table, params)? {
+                        Side::Lit(Value::Null) => Some(Spec::Const(None)),
+                        Side::Lit(Value::Text(text)) => Some(Spec::Like {
+                            col,
+                            text,
+                            pattern_in_column: true,
+                            negated: *negated,
+                        }),
+                        // A column or Int subject can raise the row
+                        // engine's type error per row — fall back.
+                        _ => None,
+                    };
+                }
+                // Non-text patterns can raise the row engine's type
+                // error per row — fall back.
                 _ => return None,
             };
             match side(expr, binding, table, params)? {
                 Side::Col(col) if col_type(table, col) == DataType::Text => Some(Spec::Like {
                     col,
-                    pattern: pat,
+                    text: pat,
+                    pattern_in_column: false,
                     negated: *negated,
                 }),
                 Side::Lit(Value::Null) => Some(Spec::Const(None)),
@@ -1236,7 +1261,8 @@ fn eval(spec: &Spec<'_>, table: &Table, ids: &[usize], prof: Option<&Collector>)
         }
         Spec::Like {
             col,
-            pattern,
+            text,
+            pattern_in_column,
             negated,
         } => {
             let c = &table.columns()[*col];
@@ -1244,7 +1270,12 @@ fn eval(spec: &Spec<'_>, table: &Table, ids: &[usize], prof: Option<&Collector>)
             let mut out = BoolVec::unknown(n);
             for (k, &id) in ids.iter().enumerate() {
                 if c.is_valid(id) {
-                    out.set(k, Some(like_match(pattern, &data[id]) != *negated));
+                    let hit = if *pattern_in_column {
+                        like_match(&data[id], text)
+                    } else {
+                        like_match(text, &data[id])
+                    };
+                    out.set(k, Some(hit != *negated));
                 }
             }
             out
@@ -1415,6 +1446,54 @@ mod tests {
             "SELECT id FROM t WHERE id <> 'nope'",
             "SELECT id FROM t WHERE tag < 'tag4' AND id > 10",
             "SELECT id FROM t WHERE tag = 'tag1' OR tag IS NULL",
+        ] {
+            run_both(&db, sql);
+        }
+    }
+
+    #[test]
+    fn column_patterns_match_the_row_engine() {
+        // `'text' LIKE col`, the URI-routing shape: wildcards, NULL
+        // patterns, negation, and the same predicate as the residual of
+        // a decorrelated EXISTS.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE r (id INT NOT NULL, pat VARCHAR, PRIMARY KEY (id))")
+            .unwrap();
+        db.execute("CREATE TABLE inc (id INT NOT NULL, pat VARCHAR)")
+            .unwrap();
+        let pats = [
+            "'/site/a/%'",
+            "'/site/_/index.html'",
+            "'%index%'",
+            "NULL",
+            "'/site/b/%'",
+            "'%'",
+            "'/site/a/index.html'",
+            "'x'",
+        ];
+        for id in 0..40 {
+            let pat = pats[id % pats.len()];
+            db.execute(&format!("INSERT INTO r VALUES ({id}, {pat})"))
+                .unwrap();
+            db.execute(&format!("INSERT INTO inc VALUES ({}, {pat})", id / 2))
+                .unwrap();
+        }
+        let plain = "SELECT id FROM r WHERE '/site/a/index.html' LIKE pat";
+        assert!(
+            crate::explain::explain(&db, plain)
+                .unwrap()
+                .contains("columnar batch execution"),
+            "column patterns compile to a kernel"
+        );
+        for sql in [
+            plain,
+            "SELECT id FROM r WHERE '/site/a/index.html' NOT LIKE pat",
+            "SELECT id FROM r WHERE NOT ('/site/b/x' LIKE pat) OR id < 3",
+            "SELECT id FROM r WHERE NULL LIKE pat",
+            "SELECT r.id FROM r r WHERE EXISTS (SELECT * FROM inc i \
+               WHERE i.id = r.id AND '/site/a/index.html' LIKE i.pat) ORDER BY r.id LIMIT 5",
+            "SELECT r.id FROM r r WHERE NOT EXISTS (SELECT * FROM inc i \
+               WHERE i.id = r.id AND '/site/c/' LIKE i.pat) ORDER BY r.id",
         ] {
             run_both(&db, sql);
         }

@@ -27,20 +27,34 @@ struct DbMetrics {
     join_hash_builds: Arc<Counter>,
     join_hash_probes: Arc<Counter>,
     planner_reorders: Arc<Counter>,
+    exists_builds: Arc<Counter>,
+    exists_probes: Arc<Counter>,
 }
 
 fn db_metrics() -> &'static DbMetrics {
     static METRICS: OnceLock<DbMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| DbMetrics {
-        latency_us: metrics::histogram("p3p_db_statement_latency_us"),
-        statements: metrics::counter("p3p_db_statements_total"),
-        rows_scanned: metrics::counter("p3p_db_rows_scanned_total"),
-        index_probes: metrics::counter("p3p_db_index_probes_total"),
-        seq_scans: metrics::counter("p3p_db_seq_scans_total"),
-        rows_output: metrics::counter("p3p_db_rows_output_total"),
-        join_hash_builds: metrics::counter("p3p_db_join_hash_builds_total"),
-        join_hash_probes: metrics::counter("p3p_db_join_hash_probes_total"),
-        planner_reorders: metrics::counter("p3p_db_planner_reorders_total"),
+    METRICS.get_or_init(|| {
+        metrics::describe(
+            "p3p_db_exists_builds_total",
+            "Correlated EXISTS subqueries decorrelated into hash sets",
+        );
+        metrics::describe(
+            "p3p_db_exists_probes_total",
+            "EXISTS predicates answered by probing a decorrelated hash set",
+        );
+        DbMetrics {
+            latency_us: metrics::histogram("p3p_db_statement_latency_us"),
+            statements: metrics::counter("p3p_db_statements_total"),
+            rows_scanned: metrics::counter("p3p_db_rows_scanned_total"),
+            index_probes: metrics::counter("p3p_db_index_probes_total"),
+            seq_scans: metrics::counter("p3p_db_seq_scans_total"),
+            rows_output: metrics::counter("p3p_db_rows_output_total"),
+            join_hash_builds: metrics::counter("p3p_db_join_hash_builds_total"),
+            join_hash_probes: metrics::counter("p3p_db_join_hash_probes_total"),
+            planner_reorders: metrics::counter("p3p_db_planner_reorders_total"),
+            exists_builds: metrics::counter("p3p_db_exists_builds_total"),
+            exists_probes: metrics::counter("p3p_db_exists_probes_total"),
+        }
     })
 }
 
@@ -61,6 +75,8 @@ fn report_statement(sql: &str, before: &exec::ExecStats, wall: Duration, profile
     m.join_hash_builds.add(delta.join_hash_builds);
     m.join_hash_probes.add(delta.join_hash_probes);
     m.planner_reorders.add(delta.planner_reorders);
+    m.exists_builds.add(delta.exists_builds);
+    m.exists_probes.add(delta.exists_probes);
     // Only a SELECT that just ran may own the thread's last profile;
     // gating on the statement kind keeps a non-SELECT from picking up
     // a stale profile left by an earlier profiled query.
@@ -79,6 +95,8 @@ fn report_statement(sql: &str, before: &exec::ExecStats, wall: Duration, profile
             rows_output: delta.rows_output,
             join_hash_builds: delta.join_hash_builds,
             join_hash_probes: delta.join_hash_probes,
+            exists_builds: delta.exists_builds,
+            exists_probes: delta.exists_probes,
         },
         wall,
         exec::take_last_join_strategy(),
@@ -207,9 +225,13 @@ impl Database {
         self.check_foreign_keys = enabled;
     }
 
-    /// Look up a table (case-insensitive).
+    /// Look up a table (case-insensitive). Catalog keys are lowercase,
+    /// so an already-lowercase name — every translated query's — skips
+    /// the folding allocation.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
+        self.tables
+            .get(name)
+            .or_else(|| self.tables.get(&name.to_ascii_lowercase()))
     }
 
     fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
@@ -1522,6 +1544,149 @@ mod tests {
         assert_eq!(bulk.rows, looped);
     }
 
+    /// `policies` policies of `statements` statements each, every
+    /// statement with one `current` purpose. `statement` is indexed on
+    /// its policy; `purpose` on its statement key only when `indexed`.
+    fn wide_corpus_db(policies: i64, statements: i64, indexed: bool) -> Database {
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE policy (policy_id INT NOT NULL, PRIMARY KEY (policy_id))",
+            "CREATE TABLE statement (policy_id INT NOT NULL, statement_id INT NOT NULL)",
+            "CREATE INDEX idx_statement_policy ON statement (policy_id)",
+            "CREATE TABLE purpose (policy_id INT NOT NULL, statement_id INT NOT NULL, \
+             purpose VARCHAR NOT NULL)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        if indexed {
+            db.execute("CREATE INDEX idx_purpose_stmt ON purpose (policy_id, statement_id)")
+                .unwrap();
+        }
+        for p in 1..=policies {
+            let keys: Vec<String> = (1..=statements).map(|s| format!("{p}, {s}")).collect();
+            let stmts: Vec<String> = keys.iter().map(|k| format!("({k})")).collect();
+            let purposes: Vec<String> = keys.iter().map(|k| format!("({k}, 'current')")).collect();
+            db.execute(&format!("INSERT INTO policy VALUES ({p})"))
+                .unwrap();
+            db.execute(&format!(
+                "INSERT INTO statement VALUES {}",
+                stmts.join(", ")
+            ))
+            .unwrap();
+            db.execute(&format!(
+                "INSERT INTO purpose VALUES {}",
+                purposes.join(", ")
+            ))
+            .unwrap();
+        }
+        db
+    }
+
+    /// One policy's rule: does any statement carry a purpose nobody
+    /// declares? The nested EXISTS runs once per statement of the policy.
+    const POINT_RULE: &str = "SELECT p.policy_id FROM policy p WHERE p.policy_id = ? AND EXISTS (\
+         SELECT * FROM statement s WHERE s.policy_id = p.policy_id AND EXISTS (\
+           SELECT * FROM purpose pu WHERE pu.policy_id = s.policy_id \
+             AND pu.statement_id = s.statement_id AND pu.purpose = 'telemarketing'))";
+
+    #[test]
+    fn point_query_with_many_nested_evaluations_stays_on_the_index() {
+        // 12 statements: the purpose EXISTS runs 12 times for one
+        // policy of 100, more than the count rule's 8.
+        let db = wide_corpus_db(100, 12, true);
+        let plan = db.prepare(POINT_RULE).unwrap();
+        exec::take_stats();
+        let rows = db.query_prepared(&plan, &[Value::Int(42)]).unwrap();
+        let stats = exec::take_stats();
+        assert!(rows.is_empty());
+        assert_eq!(stats.exists_builds, 0, "{stats:?}");
+        assert_eq!(stats.exists_probes, 0, "{stats:?}");
+        // Only policy 42's rows: itself, its 12 statements, and one
+        // purpose per statement.
+        assert_eq!(stats.rows_scanned, 1 + 12 + 12, "{stats:?}");
+
+        // The forced count rule at 8 hashes all 1,200 purpose rows for
+        // the same answer.
+        exec::set_decorrelate_after(Some(8));
+        let forced = db.query_prepared(&plan, &[Value::Int(42)]);
+        let forced_stats = exec::take_stats();
+        exec::set_decorrelate_after(None);
+        assert_eq!(forced.unwrap(), rows);
+        assert_eq!(forced_stats.exists_builds, 1, "{forced_stats:?}");
+        assert!(forced_stats.rows_scanned > 1200, "{forced_stats:?}");
+    }
+
+    #[test]
+    fn unindexed_correlation_still_decorrelates() {
+        // Without the purpose index every correlated evaluation scans
+        // the whole 1,200-row table, so the first one already costs more
+        // than a build and the second evaluation builds.
+        let db = wide_corpus_db(100, 12, false);
+        let plan = db.prepare(POINT_RULE).unwrap();
+        exec::take_stats();
+        let rows = db.query_prepared(&plan, &[Value::Int(42)]).unwrap();
+        let stats = exec::take_stats();
+        assert!(rows.is_empty());
+        assert_eq!(stats.exists_builds, 1, "{stats:?}");
+        assert_eq!(stats.exists_probes, 11, "{stats:?}");
+        // One correlated scan plus one build scan of purpose.
+        assert_eq!(stats.rows_scanned, 1 + 12 + 1200 + 1200, "{stats:?}");
+    }
+
+    #[test]
+    fn correlated_rows_before_a_build_stay_within_the_build_side() {
+        // Inner tables of 60 rows in buckets of `bucket` rows per key
+        // (60 = one unindexed-like bucket); every probed bucket is
+        // scanned in full because the residual never holds. Each
+        // correlated evaluation costs `bucket + 1`, so the node switches
+        // on the first evaluation after the cost passes 60.
+        const INNER: i64 = 60;
+        const OUTER: i64 = 80;
+        exec::set_columnar(false);
+        for bucket in [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60] {
+            let keys = INNER / bucket;
+            let mut db = Database::new();
+            db.execute("CREATE TABLE o (id INT NOT NULL, k INT NOT NULL)")
+                .unwrap();
+            db.execute("CREATE TABLE i (k INT NOT NULL, v VARCHAR NOT NULL)")
+                .unwrap();
+            db.execute("CREATE INDEX idx_i_k ON i (k)").unwrap();
+            let outer: Vec<String> = (0..OUTER).map(|n| format!("({n}, {})", n % keys)).collect();
+            let inner: Vec<String> = (0..INNER).map(|n| format!("({}, 'v')", n % keys)).collect();
+            db.execute(&format!("INSERT INTO o VALUES {}", outer.join(", ")))
+                .unwrap();
+            db.execute(&format!("INSERT INTO i VALUES {}", inner.join(", ")))
+                .unwrap();
+            exec::take_stats();
+            let r = db
+                .query(
+                    "SELECT o.id FROM o WHERE EXISTS (\
+                       SELECT * FROM i WHERE i.k = o.k AND i.v = 'never')",
+                )
+                .unwrap();
+            let stats = exec::take_stats();
+            assert!(r.is_empty());
+            assert_eq!(stats.exists_builds, 1, "bucket {bucket}: {stats:?}");
+            // The building evaluation probes too, so `exists_probes`
+            // counts every evaluation from the switch on.
+            let evals = (OUTER as u64) - stats.exists_probes;
+            let correlated_rows = stats.rows_scanned - OUTER as u64 - INNER as u64;
+            let inner_rows = INNER as u64;
+            assert_eq!(correlated_rows, evals * bucket as u64, "bucket {bucket}");
+            assert!(
+                correlated_rows <= inner_rows + evals,
+                "bucket {bucket}: {correlated_rows} correlated rows over {evals} evaluations"
+            );
+            // The switch comes exactly at break-even: the cost before
+            // the last correlated evaluation was within one build, and
+            // the cost after it was not.
+            let cost = correlated_rows + evals;
+            assert!(cost - (bucket as u64 + 1) <= inner_rows, "bucket {bucket}");
+            assert!(cost > inner_rows, "bucket {bucket}");
+        }
+        exec::set_columnar(true);
+    }
+
     /// Two join tables sized so the planner must reorder: `jbig` (60
     /// rows, join key unindexed) and `jsmall` (2 rows).
     fn join_db() -> Database {
@@ -1610,24 +1775,27 @@ mod tests {
         let prepared = db.prepare(sql).unwrap();
         let replans = p3p_telemetry::metrics::counter("p3p_planner_replans_total");
         let replans_before = replans.get();
-        slowlog::set_threshold(Duration::ZERO);
-        db.query_prepared(&prepared, &[]).unwrap();
+        // A thread-scoped capture: tests running in parallel flood the
+        // global log and would evict the cold plan's entry.
+        let ((), captured) = slowlog::capture(|| {
+            db.query_prepared(&prepared, &[]).unwrap();
 
-        // A 10k-row shred flips which side is small by two orders of
-        // magnitude; the cheap drift check at execute must replan.
-        let values: Vec<String> = (0..500).map(|i| format!("({})", i % 5)).collect();
-        let batch = format!("INSERT INTO drift_a VALUES {}", values.join(", "));
-        for _ in 0..20 {
-            db.execute(&batch).unwrap();
-        }
-        db.query_prepared(&prepared, &[]).unwrap();
-        slowlog::disable();
+            // A 10k-row shred flips which side is small by two orders
+            // of magnitude; the cheap drift check at execute must
+            // replan.
+            let values: Vec<String> = (0..500).map(|i| format!("({})", i % 5)).collect();
+            let batch = format!("INSERT INTO drift_a VALUES {}", values.join(", "));
+            for _ in 0..20 {
+                db.execute(&batch).unwrap();
+            }
+            db.query_prepared(&prepared, &[]).unwrap();
+        });
 
         assert!(
             replans.get() > replans_before,
             "drift must clear cached join plans"
         );
-        let strategies: Vec<String> = slowlog::entries()
+        let strategies: Vec<String> = captured
             .into_iter()
             .filter(|r| r.sql == sql)
             .filter_map(|r| r.join_strategy)

@@ -5,6 +5,7 @@ use crate::database::{Database, QueryResult};
 use crate::error::DbError;
 use crate::plan::{JoinOp, JoinPlan, JoinPlanCache};
 use crate::profile::{Collector, ExistsStrategy, Profile};
+use crate::schema::ColumnDef;
 use crate::sql::ast::{CompareOp, Expr, SelectItem, SelectStmt, TableRef};
 use crate::table::Table;
 use crate::value::{like_match, Value};
@@ -92,39 +93,37 @@ pub(crate) fn bump(f: impl FnOnce(&mut ExecStats)) {
 }
 
 /// One bound table in a scope: the binding name (alias or table name),
-/// the column names, and the current row.
+/// the table's columns, and the current row. Name and columns borrow
+/// from the statement and the catalog, so entering a scan level
+/// allocates nothing but the row buffer.
 #[derive(Debug, Clone)]
-struct Binding {
-    name: String,
-    columns: Vec<String>,
+struct Binding<'t> {
+    name: &'t str,
+    columns: &'t [ColumnDef],
     row: Vec<Value>,
 }
-
-/// How many times one correlated EXISTS node is evaluated the slow way
-/// (nested loop per outer row) before the executor decorrelates it into
-/// a hash semi-join. Single-row point queries stay far below this;
-/// set-at-a-time corpus queries cross it on their first scan.
-const DECORRELATE_AFTER: u32 = 8;
 
 thread_local! {
     static DECORRELATE_OVERRIDE: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
-/// Override the adaptive-decorrelation threshold for this thread.
-/// `Some(0)` decorrelates every eligible EXISTS on its second
-/// evaluation; `Some(u32::MAX)` pins the correlated nested loop;
-/// `None` restores the built-in [`DECORRELATE_AFTER`] default. The
-/// metamorphic differential tests use the two extremes to force both
-/// execution strategies over identical data.
+/// Force the evaluation-count decorrelation rule on this thread:
+/// `Some(k)` runs the first `k + 1` evaluations of an EXISTS node
+/// correlated and decorrelates on the next, so `Some(0)` decorrelates
+/// every eligible EXISTS on its second evaluation and `Some(u32::MAX)`
+/// pins the correlated nested loop. `None` restores the default
+/// break-even rule: a node decorrelates once its correlated evaluations
+/// have visited more rows than a build scan would read. The metamorphic
+/// differential tests use the two extremes to force both execution
+/// strategies over identical data.
 pub fn set_decorrelate_after(threshold: Option<u32>) {
     DECORRELATE_OVERRIDE.with(|t| t.set(threshold));
 }
 
-/// The decorrelation threshold in effect on this thread.
-pub fn decorrelate_after() -> u32 {
-    DECORRELATE_OVERRIDE
-        .with(|t| t.get())
-        .unwrap_or(DECORRELATE_AFTER)
+/// The evaluation-count override in effect on this thread; `None`
+/// means the break-even rule decides.
+pub fn decorrelate_override() -> Option<u32> {
+    DECORRELATE_OVERRIDE.with(|t| t.get())
 }
 
 thread_local! {
@@ -149,14 +148,14 @@ pub fn columnar_enabled() -> bool {
 /// Adaptive decorrelation state plus join-planning state, one per
 /// statement execution.
 ///
-/// A correlated EXISTS costs a full subquery setup per candidate outer
-/// row. When the same subquery node has been evaluated
-/// [`DECORRELATE_AFTER`] times within one execution — the signature of
-/// a query scanning many outer rows — the executor rewrites it on the
-/// fly into a hash semi-join: the subquery runs once with its
-/// correlation conjuncts removed, the correlation-key values of every
-/// surviving row land in a hash set, and each later outer row answers
-/// EXISTS with a single hash probe.
+/// A correlated EXISTS costs a subquery scan per candidate outer row.
+/// Once the rows one node's correlated evaluations have visited
+/// outweigh a single scan of its FROM tables — the signature of a query
+/// scanning many outer rows — the executor rewrites it on the fly into
+/// a hash semi-join: the subquery runs once with its correlation
+/// conjuncts removed, the correlation-key values of every surviving row
+/// land in a hash set, and each later outer row answers EXISTS with a
+/// single hash probe.
 ///
 /// The memo also carries the execution's join plans (computed lazily
 /// per multi-table SELECT node) and the hash tables built for
@@ -166,6 +165,10 @@ pub fn columnar_enabled() -> bool {
 struct ExistsMemo<'p> {
     /// Keyed by the subquery node's address, stable for one execution.
     states: RefCell<HashMap<usize, MemoState>>,
+    /// Rows visited by scan levels since the innermost EXISTS evaluation
+    /// in progress began: each evaluation swaps in zero and restores the
+    /// enclosing count, so a node is charged only its own levels' rows.
+    rows_visited: Cell<u64>,
     /// Join plans for this execution only (ad-hoc statements).
     local_plans: RefCell<HashMap<usize, Arc<JoinPlan>>>,
     /// Join plans shared across executions of a prepared statement,
@@ -186,8 +189,14 @@ struct JoinHashTable {
 }
 
 enum MemoState {
-    /// Still running correlated; counts evaluations toward the switch.
-    Counting(u32),
+    /// Still running correlated: evaluations so far, their cost (rows
+    /// visited plus one per evaluation), and the rows a build scan
+    /// would read (the summed sizes of the subquery's FROM tables).
+    Counting {
+        evals: u32,
+        cost: u64,
+        build_rows: u64,
+    },
     /// Analysis found the node non-decorrelatable; stay correlated.
     Bypass,
     /// Decorrelated: probe the hash set instead of re-running.
@@ -210,7 +219,7 @@ struct DecorrelatedSet {
 /// whole chain). Bindings are borrowed, never cloned: evaluating a
 /// filter over a candidate row costs no allocation.
 struct Env<'a> {
-    bindings: &'a [Binding],
+    bindings: &'a [Binding<'a>],
     outer: Option<&'a Env<'a>>,
     params: &'a [Value],
     memo: &'a ExistsMemo<'a>,
@@ -253,7 +262,11 @@ impl<'a> Env<'a> {
                         continue;
                     }
                 }
-                if let Some(i) = b.columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+                if let Some(i) = b
+                    .columns
+                    .iter()
+                    .position(|c| c.name.eq_ignore_ascii_case(name))
+                {
                     found = Some(b.row[i].clone());
                     count += 1;
                 }
@@ -557,15 +570,15 @@ fn select_body(db: &Database, stmt: &SelectStmt, outer: &Env<'_>) -> Result<Quer
 /// plan-reordered list, with `plan.ops` aligned by depth). `emit`
 /// returns `false` to stop early (EXISTS short-circuit).
 #[allow(clippy::too_many_arguments)]
-fn join_scan(
+fn join_scan<'t>(
     db: &Database,
-    tables: &[(&TableRef, &Table)],
+    tables: &[(&'t TableRef, &'t Table)],
     plan: Option<&Arc<JoinPlan>>,
     depth: usize,
-    bound: &mut Vec<Binding>,
+    bound: &mut Vec<Binding<'t>>,
     filter: Option<&Expr>,
     outer: &Env<'_>,
-    emit: &mut dyn FnMut(&[Binding]) -> Result<bool, DbError>,
+    emit: &mut dyn FnMut(&[Binding<'t>]) -> Result<bool, DbError>,
 ) -> Result<bool, DbError> {
     if depth == tables.len() {
         // All tables bound: evaluate the residual filter.
@@ -634,8 +647,8 @@ fn join_scan(
     // One binding per join level; only its row slot is rewritten per
     // visited row, so the scan allocates no per-row name/column lists.
     bound.push(Binding {
-        name: tref.binding_name().to_string(),
-        columns: table.schema.column_names(),
+        name: tref.binding_name(),
+        columns: &table.schema.columns,
         row: Vec::new(),
     });
     let mut cont = true;
@@ -643,7 +656,7 @@ fn join_scan(
         Some((ids, probe)) => {
             bump(|s| s.index_probes += 1);
             for id in ids {
-                bump(|s| s.rows_scanned += 1);
+                visit_row(outer.memo);
                 visited += 1;
                 let slot = bound.last_mut().expect("binding just pushed");
                 table.read_row_into(id, &mut slot.row);
@@ -663,7 +676,7 @@ fn join_scan(
         None => {
             bump(|s| s.seq_scans += 1);
             for id in 0..table.len() {
-                bump(|s| s.rows_scanned += 1);
+                visit_row(outer.memo);
                 visited += 1;
                 let slot = bound.last_mut().expect("binding just pushed");
                 table.read_row_into(id, &mut slot.row);
@@ -698,15 +711,15 @@ fn join_scan(
 /// component matches nothing — and the residual filter still re-checks
 /// every conjunct at the leaf.
 #[allow(clippy::too_many_arguments)]
-fn hash_join_level(
+fn hash_join_level<'t>(
     db: &Database,
-    tables: &[(&TableRef, &Table)],
+    tables: &[(&'t TableRef, &'t Table)],
     plan: &Arc<JoinPlan>,
     depth: usize,
-    bound: &mut Vec<Binding>,
+    bound: &mut Vec<Binding<'t>>,
     filter: Option<&Expr>,
     outer: &Env<'_>,
-    emit: &mut dyn FnMut(&[Binding]) -> Result<bool, DbError>,
+    emit: &mut dyn FnMut(&[Binding<'t>]) -> Result<bool, DbError>,
     build_cols: &[usize],
     probes: &[Expr],
     build_filter: &[Expr],
@@ -723,12 +736,12 @@ fn hash_join_level(
             bump(|s| s.join_hash_builds += 1);
             let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
             let mut build_binding = vec![Binding {
-                name: tref.binding_name().to_string(),
-                columns: table.schema.column_names(),
+                name: tref.binding_name(),
+                columns: &table.schema.columns,
                 row: Vec::new(),
             }];
             'rows: for row_id in 0..table.len() {
-                bump(|s| s.rows_scanned += 1);
+                visit_row(outer.memo);
                 if !build_filter.is_empty() {
                     table.read_row_into(row_id, &mut build_binding[0].row);
                     // The pushdown conjuncts are outer-free: evaluating
@@ -796,14 +809,14 @@ fn hash_join_level(
     };
 
     bound.push(Binding {
-        name: tref.binding_name().to_string(),
-        columns: table.schema.column_names(),
+        name: tref.binding_name(),
+        columns: &table.schema.columns,
         row: Vec::new(),
     });
     let mut cont = true;
     let mut visited: u64 = 0;
     for &id in ids {
-        bump(|s| s.rows_scanned += 1);
+        visit_row(outer.memo);
         visited += 1;
         let slot = bound.last_mut().expect("binding just pushed");
         table.read_row_into(id, &mut slot.row);
@@ -1459,10 +1472,24 @@ fn eval_pred(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Option<bool>, 
     }
 }
 
-/// EXISTS with adaptive decorrelation: the first [`DECORRELATE_AFTER`]
-/// evaluations of a node run the ordinary correlated nested loop; past
-/// that the node is rewritten into a hash semi-join and every further
-/// outer row answers with one probe.
+/// Count one row visited by a scan level: the thread's statistics and
+/// the execution's break-even tally.
+fn visit_row(memo: &ExistsMemo<'_>) {
+    bump(|s| s.rows_scanned += 1);
+    memo.rows_visited.set(memo.rows_visited.get() + 1);
+}
+
+/// EXISTS with adaptive decorrelation. A node runs the ordinary
+/// correlated nested loop while its cost — the rows its correlated
+/// evaluations have visited, plus one per evaluation — stays at or
+/// below the rows a build scan would read; past that break-even it is
+/// rewritten into a hash semi-join and every further outer row answers
+/// with one probe. Either way the node does at most about twice the
+/// work of the cheaper strategy, so a point query whose nested EXISTS
+/// runs a few dozen index-probed evaluations never hashes a
+/// corpus-wide table, while a corpus scan decorrelates once it has
+/// visited about one table's worth of rows. A forced evaluation count
+/// ([`set_decorrelate_after`]) replaces the break-even test.
 fn exists(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bool, DbError> {
     let Some(profiler) = &env.memo.profiler else {
         return exists_dispatch(db, stmt, env);
@@ -1488,13 +1515,31 @@ fn exists_dispatch(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bo
         let mut states = env.memo.states.borrow_mut();
         match states.entry(node) {
             Entry::Vacant(v) => {
-                v.insert(MemoState::Counting(1));
+                let build_rows = stmt
+                    .from
+                    .iter()
+                    .filter_map(|t| db.table(&t.table))
+                    .map(|t| t.len() as u64)
+                    .sum();
+                v.insert(MemoState::Counting {
+                    evals: 1,
+                    cost: 0,
+                    build_rows,
+                });
                 Action::Correlated
             }
             Entry::Occupied(mut o) => match o.get_mut() {
-                MemoState::Counting(n) => {
-                    *n += 1;
-                    if *n > decorrelate_after() {
+                MemoState::Counting {
+                    evals,
+                    cost,
+                    build_rows,
+                } => {
+                    *evals += 1;
+                    let build = match decorrelate_override() {
+                        Some(after) => *evals > after,
+                        None => *cost > *build_rows,
+                    };
+                    if build {
                         Action::Build
                     } else {
                         Action::Correlated
@@ -1505,11 +1550,14 @@ fn exists_dispatch(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bo
             },
         }
     };
-    match action {
+    // Each evaluation tallies only its own scan levels' rows: nested
+    // EXISTS evaluations swap the tally out and back in the same way.
+    let enclosing = env.memo.rows_visited.replace(0);
+    let result = match action {
         Action::Correlated => exists_correlated(db, stmt, env),
         Action::Probe(set) => probe_exists_set(db, &set, env),
-        Action::Build => match build_exists_set(db, stmt, env)? {
-            Some(set) => {
+        Action::Build => match build_exists_set(db, stmt, env) {
+            Ok(Some(set)) => {
                 let set = Rc::new(set);
                 env.memo
                     .states
@@ -1521,12 +1569,18 @@ fn exists_dispatch(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bo
                 }
                 probe_exists_set(db, &set, env)
             }
-            None => {
+            Ok(None) => {
                 env.memo.states.borrow_mut().insert(node, MemoState::Bypass);
                 exists_correlated(db, stmt, env)
             }
+            Err(e) => Err(e),
         },
+    };
+    let visited = env.memo.rows_visited.replace(enclosing);
+    if let Some(MemoState::Counting { cost, .. }) = env.memo.states.borrow_mut().get_mut(&node) {
+        *cost += visited + 1;
     }
+    result
 }
 
 /// Correlated EXISTS: run the subquery until the first row survives.

@@ -575,9 +575,7 @@ mod tests {
 
     #[test]
     fn analyze_exists_reports_decorrelation_strategy_mix() {
-        // 20 outer rows; the default threshold (8) lets the first 8
-        // EXISTS evaluations run correlated, the 9th builds the hash
-        // set, and the remaining 12 answer by probing it. Matches for
+        // 20 outer rows over an unindexed 10-row inner_t; matches for
         // the 10 even ids.
         let mut db = Database::new();
         db.execute("CREATE TABLE outer_t (id INT NOT NULL, PRIMARY KEY (id))")
@@ -592,24 +590,43 @@ mod tests {
             db.execute(&format!("INSERT INTO inner_t VALUES ({})", i * 2))
                 .unwrap();
         }
-        let analyzed = explain_analyze(
-            &db,
-            "SELECT * FROM outer_t o WHERE EXISTS \
-             (SELECT * FROM inner_t i WHERE i.oid = o.id)",
-        )
-        .unwrap();
-        assert!(analyzed.contains("Select (rows=10 loops=1)"), "{analyzed}");
+        let sql = "SELECT * FROM outer_t o WHERE EXISTS \
+                   (SELECT * FROM inner_t i WHERE i.oid = o.id)";
+        // The forced count rule at 8: the first 8 EXISTS evaluations
+        // run correlated, the 9th builds the hash set, and the
+        // remaining 12 answer by probing it.
+        exec::set_decorrelate_after(Some(8));
+        let forced = explain_analyze(&db, sql);
+        exec::set_decorrelate_after(None);
+        let forced = forced.unwrap();
+        assert!(forced.contains("Select (rows=10 loops=1)"), "{forced}");
         assert!(
-            analyzed.contains("seq scan outer_t AS o (planned=20 rows=20 loops=1)"),
-            "{analyzed}"
+            forced.contains("seq scan outer_t AS o (planned=20 rows=20 loops=1)"),
+            "{forced}"
         );
-        assert!(analyzed.contains("Filter (rows=10 loops=20)"), "{analyzed}");
+        assert!(forced.contains("Filter (rows=10 loops=20)"), "{forced}");
         assert!(
-            analyzed.contains("Exists (correlated=8 set_probes=12 builds=1) (rows=10 loops=20)"),
-            "{analyzed}"
+            forced.contains("Exists (correlated=8 set_probes=12 builds=1) (rows=10 loops=20)"),
+            "{forced}"
         );
         // The subquery's own scans appear under the EXISTS node.
-        assert!(analyzed.contains("seq scan inner_t AS i"), "{analyzed}");
+        assert!(forced.contains("seq scan inner_t AS i"), "{forced}");
+
+        // The break-even default: a build reads 10 rows. Evaluation 1
+        // (o.id = 0) matches inner_t's first row, costing 1 row + 1;
+        // evaluation 2 (o.id = 1) scans all 10 rows for nothing,
+        // taking the cost to 13 > 10, so evaluation 3 builds.
+        let analyzed = explain_analyze(&db, sql).unwrap();
+        assert!(analyzed.contains("Select (rows=10 loops=1)"), "{analyzed}");
+        assert!(
+            analyzed.contains("Exists (correlated=2 set_probes=18 builds=1) (rows=10 loops=20)"),
+            "{analyzed}"
+        );
+        // Two correlated scans (1 + 10 rows) plus the 10-row build.
+        assert!(
+            analyzed.contains("seq scan inner_t AS i (planned=10 rows=21 loops=3)"),
+            "{analyzed}"
+        );
     }
 
     #[test]

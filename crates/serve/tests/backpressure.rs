@@ -11,11 +11,19 @@ use p3p_serve::EndpointLimits;
 use p3p_server::PolicyServer;
 use p3p_telemetry::metrics;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Every daemon in this process writes the one global
+/// `p3p_http_queue_depth` gauge, so the tests here run one at a time:
+/// the gauge test must see only its own daemon's queue.
+static ONE_DAEMON_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 #[test]
 fn saturation_yields_429s_not_errors() {
+    let _serial = ONE_DAEMON_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut server = PolicyServer::new();
     server.install_policy(&volga_policy()).unwrap();
     // One slow worker, a 2-deep queue, and a /match cap of 1: with 8
@@ -148,6 +156,9 @@ fn saturation_yields_429s_not_errors() {
 
 #[test]
 fn queue_depth_gauge_tracks_waiting_connections() {
+    let _serial = ONE_DAEMON_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut server = PolicyServer::new();
     server.install_policy(&volga_policy()).unwrap();
     // A single worker stalled 200ms per request guarantees arrivals

@@ -5,7 +5,9 @@
 //! are kept in a bounded global log. A threshold of zero therefore
 //! captures *every* statement — the mode integration tests use to
 //! assert that each executed SQL statement is attributable to the APPEL
-//! rule it was translated from.
+//! rule it was translated from. A test that must see exactly its own
+//! statements, whatever other threads log meanwhile, wraps them in
+//! [`capture`] instead.
 //!
 //! Attribution works through a thread-local query context: the match
 //! pipeline sets the originating rule id (via [`QueryContextGuard`])
@@ -13,7 +15,7 @@
 //! it back. The log stores the executor's statistics as the
 //! engine-neutral [`QueryStats`] so this crate stays dependency-free.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,6 +33,9 @@ thread_local! {
     /// APPEL rule id the statement currently executing on this thread
     /// was translated from, if the caller declared one.
     static RULE_CONTEXT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Every statement reported on this thread while a [`capture`] is
+    /// running, whatever the threshold.
+    static CAPTURED: RefCell<Option<Vec<SlowQueryRecord>>> = const { RefCell::new(None) };
 }
 
 /// Engine-neutral executor statistics for one statement.
@@ -50,6 +55,10 @@ pub struct QueryStats {
     pub join_hash_builds: u64,
     /// Probes into hash-join tables.
     pub join_hash_probes: u64,
+    /// Correlated EXISTS subqueries decorrelated into hash sets.
+    pub exists_builds: u64,
+    /// EXISTS predicates answered by probing a decorrelated hash set.
+    pub exists_probes: u64,
 }
 
 /// One captured slow query.
@@ -147,7 +156,9 @@ pub fn record_analyzed(
     analyzed_plan: Option<String>,
 ) {
     let threshold = THRESHOLD_NANOS.load(Ordering::Relaxed);
-    if u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX) < threshold {
+    let slow = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX) >= threshold;
+    let capturing = CAPTURED.with(|c| c.borrow().is_some());
+    if !slow && !capturing {
         return;
     }
     let record = SlowQueryRecord {
@@ -158,12 +169,33 @@ pub fn record_analyzed(
         join_strategy,
         analyzed_plan,
     };
+    if capturing {
+        CAPTURED.with(|c| {
+            if let Some(captured) = c.borrow_mut().as_mut() {
+                captured.push(record.clone());
+            }
+        });
+    }
+    if !slow {
+        return;
+    }
     let mut log = LOG.lock().unwrap();
     let cap = CAPACITY.load(Ordering::Relaxed);
     while log.len() >= cap {
         log.pop_front();
     }
     log.push_back(record);
+}
+
+/// Run `f` and return it with every statement this thread reported
+/// while it ran, oldest first, whatever the threshold. Other threads
+/// filling (and evicting from) the global log cannot touch the capture,
+/// so a test can assert on exactly its own statements.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SlowQueryRecord>) {
+    let outer = CAPTURED.with(|c| c.replace(Some(Vec::new())));
+    let result = f();
+    let captured = CAPTURED.with(|c| c.replace(outer)).unwrap_or_default();
+    (result, captured)
 }
 
 /// Copy of the log, oldest first.
@@ -282,6 +314,35 @@ mod tests {
             .find(|r| r.sql == "SELECT slowlog_test_unanalyzed")
             .expect("captured");
         assert_eq!(entry.analyzed_plan, None);
+    }
+
+    #[test]
+    fn capture_sees_only_this_threads_statements_whatever_the_threshold() {
+        let other = std::thread::spawn(|| {
+            record(
+                "SELECT slowlog_test_other_thread",
+                QueryStats::default(),
+                Duration::from_micros(1),
+            )
+        });
+        let ((), captured) = capture(|| {
+            record(
+                "SELECT slowlog_test_captured",
+                QueryStats {
+                    exists_builds: 1,
+                    exists_probes: 4,
+                    ..QueryStats::default()
+                },
+                Duration::ZERO,
+            );
+        });
+        other.join().unwrap();
+        let sqls: Vec<&str> = captured.iter().map(|r| r.sql.as_str()).collect();
+        assert_eq!(sqls, ["SELECT slowlog_test_captured"]);
+        assert_eq!(captured[0].stats.exists_probes, 4);
+        // A new capture starts empty: nothing carries over.
+        let ((), empty) = capture(|| {});
+        assert!(empty.is_empty());
     }
 
     #[test]

@@ -38,6 +38,9 @@ cargo bench -p p3p-bench --bench join -- --test
 echo "==> repro --table join (planned-over-FROM-order speedup floor)"
 cargo run -q --release -p p3p-bench --bin repro -- --table join > /dev/null
 
+echo "==> repro --table scaling (SQL rows per match at 2,000 policies <= 2x the 29-policy figure)"
+cargo run -q --release -p p3p-bench --bin repro -- --table scaling > /dev/null
+
 echo "==> fuzz smoke (50 fixed-seed differential cases, all engines)"
 P3P_FUZZ_CASES=50 cargo run -q --release -p p3p-fuzz -- --seed 42
 

@@ -138,6 +138,62 @@ fn join_planner_counters_are_exported() {
     }
 }
 
+/// EXISTS decorrelation counters flow from the executor through the
+/// database metrics into both registry renderings, with HELP text.
+#[test]
+fn exists_decorrelation_counters_are_exported() {
+    use p3p_suite::minidb::{exec, Database};
+    let mut db = Database::new();
+    db.execute("CREATE TABLE eouter (id INT NOT NULL)").unwrap();
+    db.execute("CREATE TABLE einner (oid INT NOT NULL)")
+        .unwrap();
+    for i in 0..20 {
+        db.execute(&format!("INSERT INTO eouter VALUES ({i})"))
+            .unwrap();
+    }
+    for i in 0..10 {
+        db.execute(&format!("INSERT INTO einner VALUES ({})", i * 2))
+            .unwrap();
+    }
+    let builds = metrics::counter("p3p_db_exists_builds_total");
+    let probes = metrics::counter("p3p_db_exists_probes_total");
+    let (builds_before, probes_before) = (builds.get(), probes.get());
+    // The row engine: the unindexed correlation passes break-even on its
+    // second evaluation and builds on the third.
+    exec::set_columnar(false);
+    let r = db.query(
+        "SELECT o.id FROM eouter o WHERE EXISTS (SELECT * FROM einner i WHERE i.oid = o.id)",
+    );
+    exec::set_columnar(true);
+    assert_eq!(r.unwrap().rows.len(), 10);
+    assert!(builds.get() > builds_before);
+    assert!(probes.get() >= probes_before + 18);
+
+    let text = metrics::render_text();
+    let json = metrics::snapshot_json();
+    for (family, help) in [
+        (
+            "p3p_db_exists_builds_total",
+            "Correlated EXISTS subqueries decorrelated into hash sets",
+        ),
+        (
+            "p3p_db_exists_probes_total",
+            "EXISTS predicates answered by probing a decorrelated hash set",
+        ),
+    ] {
+        assert!(json.contains(family), "{family} missing from JSON snapshot");
+        assert!(
+            text.contains(&format!("# HELP {family} {help}\n")),
+            "{family} HELP missing:\n{text}"
+        );
+        assert_eq!(
+            text.matches(&format!("# TYPE {family} counter\n")).count(),
+            1,
+            "{family} must render as one counter family"
+        );
+    }
+}
+
 /// Installing a policy records shred timings per schema.
 #[test]
 fn install_records_shred_metrics() {
@@ -305,6 +361,10 @@ fn http_metrics_endpoint_matches_registry_render() {
                 ("p3p_http_in_flight", "gauge"),
                 ("p3p_http_draining", "gauge"),
                 ("p3p_http_request_us", "histogram"),
+                // The /match ran SQL, so the executor's EXISTS
+                // families are on the page too.
+                ("p3p_db_exists_builds_total", "counter"),
+                ("p3p_db_exists_probes_total", "counter"),
             ] {
                 assert_eq!(
                     rendered.matches(&format!("# HELP {family} ")).count(),
