@@ -5,7 +5,7 @@
 //! repro --figure 19     # Figure 19 only
 //! repro --figure 20     # Figure 20 only
 //! repro --figure 21     # Figure 21 only
-//! repro --table shredding | warmcold | caching | bulk | join | fuzz | churn | profile | dist | serve | ablation | scaling
+//! repro --table shredding | warmcold | caching | bulk | join | fuzz | churn | profile | serve | ablation | scaling
 //! repro --seed 7        # different workload seed
 //! repro --metrics-dir target   # where the metrics snapshot lands
 //! repro --trace-out trace.json # Chrome trace of a sharded corpus sweep
@@ -19,13 +19,13 @@
 
 use p3p_bench::bench_serve_json;
 use p3p_bench::{
-    ablation_table, bench_bulk_json, bench_churn_json, bench_dist_json, bench_fuzz_json,
-    bench_join_json, bench_matching_json, bench_profile_json, bench_scaling_json, bulk_report,
-    bulk_table, caching_report, caching_table, churn_report, churn_table, dist_report, dist_table,
-    export_trace, figure19, figure20, figure21, fuzz_report, fuzz_table, join_report, join_table,
-    profile_report, profile_table, scaling_rows, scaling_rows_growth, scaling_table, serve_report,
-    serve_table, shredding_table, subset_table, telemetry_table, warm_cold_table, DEFAULT_SEED,
-    SCALING_MAX_ROWS_GROWTH, SCALING_SIZES,
+    ablation_table, bench_bulk_json, bench_churn_json, bench_fuzz_json, bench_join_json,
+    bench_matching_json, bench_profile_json, bench_scaling_json, bulk_report, bulk_table,
+    caching_report, caching_table, churn_report, churn_table, export_trace, figure19, figure20,
+    figure21, fuzz_report, fuzz_table, join_report, join_table, profile_report, profile_table,
+    scaling_rows, scaling_rows_growth, scaling_table, serve_report, serve_table, shredding_table,
+    subset_table, telemetry_table, warm_cold_table, DEFAULT_SEED, SCALING_MAX_ROWS_GROWTH,
+    SCALING_SIZES,
 };
 
 fn main() {
@@ -154,8 +154,8 @@ fn main() {
                     );
                     bulk_ok = false;
                 }
-                // Allow 10% timing noise: on a single-core box the
-                // sharded pass runs the identical single-threaded path.
+                // Allow 10% timing noise: SQL sweeps never shard, so the
+                // pool's pass runs the identical single-threaded path.
                 if sql.sharded_time.as_secs_f64() > sql.bulk_time.as_secs_f64() * 1.10 {
                     eprintln!(
                         "error: sharded bulk ({:?}) is slower than single-threaded bulk ({:?})",
@@ -316,62 +316,6 @@ fn main() {
             profile_ok = false;
         }
     }
-    let mut dist_ok = true;
-    if all || tables.iter().any(|t| t == "dist") {
-        // Distributed corpus matching: fleet scaling on a ≥2k-policy
-        // corpus plus the kill-one-worker correctness drill.
-        let report = dist_report(seed, 2000, 64, &[1, 2, 4], 3);
-        println!("{}", dist_table(&report));
-        let json = bench_dist_json(&report);
-        let path = std::path::Path::new("BENCH_dist.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
-        // The 2.5x floor binds only where the fleet has ≥4 cores: on a
-        // smaller box the workers time-slice one core and the sweep
-        // degenerates to the serial path by design.
-        match report.speedup_vs_one(4) {
-            Some(speedup) if report.scaling_gate_enforced() && speedup < 2.5 => {
-                eprintln!(
-                    "error: 4-worker distributed sweep is only {speedup:.2}x over 1 worker \
-                     (floor 2.5x on a {}-core box)",
-                    report.parallelism
-                );
-                dist_ok = false;
-            }
-            Some(speedup) if !report.scaling_gate_enforced() => {
-                println!(
-                    "note: 4-worker speedup {speedup:.2}x reported without the 2.5x gate \
-                     ({} cores < 4)\n",
-                    report.parallelism
-                );
-            }
-            Some(_) => {}
-            None => {
-                eprintln!("error: the 4-worker fleet reported no sweep time");
-                dist_ok = false;
-            }
-        }
-        // The kill drill is unconditional: a SIGKILLed worker must not
-        // change the fold, and its stranded shard must be re-queued.
-        match &report.kill {
-            Some(kill) => {
-                if !kill.matches_single_process {
-                    eprintln!("error: kill-one-worker fold diverged from the single-process sweep");
-                    dist_ok = false;
-                }
-                if kill.requeued == 0 {
-                    eprintln!("error: the kill drill re-queued no shard");
-                    dist_ok = false;
-                }
-            }
-            None => {
-                eprintln!("error: kill drill skipped (p3p-worker binary not found)");
-                dist_ok = false;
-            }
-        }
-    }
     let mut serve_ok = true;
     if all || tables.iter().any(|t| t == "serve") {
         // The daemon under load. The full acceptance run uses a
@@ -468,7 +412,6 @@ fn main() {
         || !fuzz_ok
         || !churn_ok
         || !profile_ok
-        || !dist_ok
         || !serve_ok
         || !scaling_ok
     {
@@ -502,7 +445,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--seed N] [--figure 19|20|21]... [--table shredding|warmcold|caching|bulk|join|fuzz|churn|profile|dist|serve|ablation|scaling|subset|telemetry]... [--metrics-dir DIR] [--trace-out PATH]"
+        "usage: repro [--seed N] [--figure 19|20|21]... [--table shredding|warmcold|caching|bulk|join|fuzz|churn|profile|serve|ablation|scaling|subset|telemetry]... [--metrics-dir DIR] [--trace-out PATH]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

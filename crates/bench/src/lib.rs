@@ -28,9 +28,6 @@ use p3p_server::{EngineKind, PolicyServer, ServerError, Target};
 use p3p_workload::{corpus, corpus_n, preference_stats, Sensitivity};
 use std::time::{Duration, Instant};
 
-pub mod dist;
-pub use dist::{bench_dist_json, dist_report, dist_table, DistReport};
-
 pub mod serve;
 pub use serve::{bench_serve_json, serve_report, serve_table, ServeReport};
 
@@ -728,7 +725,9 @@ fn best_of(runs: u32, mut f: impl FnMut() -> Result<()>) -> Result<Duration> {
 /// over an `n`-policy corpus with the High preference (the one level
 /// every engine can decide). The shard count follows the machine's
 /// available parallelism, so on a single-core box the sharded pass
-/// degenerates to the single-threaded bulk path by design.
+/// degenerates to the single-threaded bulk path by design. The SQL
+/// engines never shard, so their sharded pass is the pool's one-thread
+/// sweep.
 pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
     let policies = corpus_n(seed, n);
     let mut server = PolicyServer::new();
@@ -869,8 +868,8 @@ pub fn bulk_table(report: &BulkReport) -> String {
     }
     out.push_str(
         "(loop = one match_preference per policy; bulk = O(rules) corpus queries; \
-         sharded = bulk split across threads; Col x = bulk with the columnar \
-         batch executor over bulk with the row-at-a-time interpreter)\n",
+         sharded = bulk split across threads, SQL on one thread; Col x = bulk with \
+         the columnar batch executor over bulk with the row-at-a-time interpreter)\n",
     );
     out
 }
@@ -880,6 +879,7 @@ pub fn bench_bulk_json(report: &BulkReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
+    out.push_str(&provenance_json());
     out.push_str(&format!("  \"policies\": {},\n", report.policies));
     out.push_str(&format!("  \"shards\": {},\n", report.shards));
     out.push_str("  \"ruleset\": \"high\",\n");
@@ -1400,6 +1400,17 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The `git_rev` and `parallelism` lines every regenerated BENCH file
+/// opens with, so a committed figure names the build and the machine
+/// width it came from.
+fn provenance_json() -> String {
+    format!(
+        "  \"git_rev\": \"{}\",\n  \"parallelism\": {},\n",
+        git_rev(),
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    )
+}
+
 /// `BENCH_scaling.json`: per-size latencies and SQL executor work per
 /// match, with provenance and the rows-growth gate's verdict.
 pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow]) -> String {
@@ -1408,11 +1419,7 @@ pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow]) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str("  \"ruleset\": \"high\",\n");
-    out.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
-    out.push_str(&format!(
-        "  \"parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    ));
+    out.push_str(&provenance_json());
     out.push_str("  \"sizes\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -1575,12 +1582,13 @@ pub fn fuzz_table(report: &FuzzReport) -> String {
 pub fn bench_fuzz_json(report: &FuzzReport) -> String {
     let s = &report.stats;
     format!(
-        "{{\n  \"seed\": {},\n  \"cases\": {},\n  \"engines\": {},\n  \
+        "{{\n  \"seed\": {},\n{}  \"cases\": {},\n  \"engines\": {},\n  \
          \"paths_compared\": {},\n  \"paths_unsupported\": {},\n  \
          \"divergences\": {},\n  \"metamorphic_queries\": {},\n  \
          \"metamorphic_mismatches\": {},\n  \"churn_checks\": {},\n  \
          \"churn_matches\": {},\n  \"churn_divergences\": {}\n}}\n",
         report.seed,
+        provenance_json(),
         s.cases,
         report.engines,
         s.paths_compared,
@@ -2028,7 +2036,9 @@ pub fn bench_profile_json(report: &ProfileReport) -> String {
 /// Record a full sharded `match_corpus` sweep as spans and render the
 /// trace buffer as Chrome trace-event JSON — the payload
 /// `repro --trace-out` writes, loadable in `chrome://tracing` or
-/// Perfetto.
+/// Perfetto. The sweep runs the XQuery/XTABLE engine: it still shards
+/// (its sweep is a per-policy loop) and runs minidb per policy, so the
+/// trace shows shard lanes down to the executor.
 pub fn export_trace(seed: u64) -> String {
     p3p_telemetry::span::set_capacity(65_536);
     p3p_telemetry::span::clear();
@@ -2041,7 +2051,7 @@ pub fn export_trace(seed: u64) -> String {
         .map(|p| p.get())
         .unwrap_or(1)
         .max(2);
-    pool.match_corpus(&ruleset, EngineKind::Sql, shards)
+    pool.match_corpus(&ruleset, EngineKind::XQueryXTable, shards)
         .expect("trace sweep");
     p3p_telemetry::chrome_trace_json(&p3p_telemetry::span::recent())
 }
@@ -2281,8 +2291,14 @@ mod tests {
             assert!(row.bulk_time > Duration::ZERO, "{:?}", row.engine);
         }
         let json = bench_bulk_json(&report);
-        assert!(json.contains("\"engine\": \"sql\""), "{json}");
-        assert!(json.contains("\"bulk_speedup\""), "{json}");
+        for key in [
+            "\"git_rev\"",
+            "\"parallelism\"",
+            "\"engine\": \"sql\"",
+            "\"bulk_speedup\"",
+        ] {
+            assert!(json.contains(key), "{key} missing:\n{json}");
+        }
         let table = bulk_table(&report);
         assert!(table.contains("Set-at-a-time"), "{table}");
     }

@@ -98,14 +98,6 @@ impl MatchPool {
         self.snapshot.read().unwrap().catalog_epoch()
     }
 
-    /// Pin the current snapshot: an `Arc` bump that callers hold when a
-    /// whole unit of work must see one catalog view across many calls —
-    /// e.g. a distributed worker running every shard of a sweep against
-    /// the same epoch even if the pool is refreshed mid-sweep.
-    pub fn pin(&self) -> Arc<PolicyServer> {
-        self.snapshot.read().unwrap().clone()
-    }
-
     /// Match against the snapshot. Each call clones the snapshot handle
     /// (an `Arc` bump) and matches zero-copy: the SQL engines bind the
     /// policy id as a parameter and the XTable engine stages into a
@@ -121,13 +113,22 @@ impl MatchPool {
         snapshot.match_preference_snapshot(ruleset, target, engine)
     }
 
-    /// Set-at-a-time corpus matching sharded across threads: the
-    /// installed-policy roster (already in name order) is split into
-    /// `shards` contiguous chunks and each chunk runs
+    /// Corpus matching, sharded across threads where sharding divides
+    /// the work. For the engines whose sweep is a per-policy loop
+    /// (native APPEL and both XQuery engines) the installed-policy
+    /// roster (already in name order) is split into `shards`
+    /// contiguous chunks and each chunk runs
     /// [`PolicyServer::match_corpus_subset`] on its own thread against
     /// the shared snapshot. Chunks of a sorted roster concatenate back
     /// into name order, so the result is identical to a single-threaded
     /// [`PolicyServer::match_corpus`] call.
+    ///
+    /// The SQL engines ignore `shards` and sweep once on the calling
+    /// thread: their sweep is O(rules) corpus queries whose decorrelated
+    /// EXISTS builds hash corpus-wide tables whatever a shard's
+    /// `IN (…)` list, so every shard would repeat nearly the whole
+    /// sweep. Running on the caller also keeps the caller's executor
+    /// knobs and leaves the sweep's `ExecStats` on the caller's thread.
     pub fn match_corpus(
         &self,
         ruleset: &Ruleset,
@@ -152,7 +153,8 @@ impl MatchPool {
         let epoch = snapshot.catalog_epoch();
         let names = snapshot.policy_names();
         let shards = shards.clamp(1, names.len().max(1));
-        if shards <= 1 {
+        let set_at_a_time = matches!(engine, EngineKind::Sql | EngineKind::SqlGeneric);
+        if shards <= 1 || set_at_a_time {
             return Ok((epoch, snapshot.match_corpus(ruleset, engine)?));
         }
         let chunk = names.len().div_ceil(shards);
@@ -255,16 +257,49 @@ mod tests {
         }
         let pool = MatchPool::new(&shared);
         let ruleset = Sensitivity::High.ruleset();
-        let single = pool.match_corpus(&ruleset, EngineKind::Sql, 1).unwrap();
-        assert!(!single.is_empty());
-        // Shard counts beyond the corpus size clamp instead of spawning
-        // empty shards.
-        for shards in [2, 4, 7, 1000] {
-            let sharded = pool
-                .match_corpus(&ruleset, EngineKind::Sql, shards)
-                .unwrap();
-            assert_eq!(single, sharded, "{shards} shards");
+        for engine in [
+            EngineKind::Sql,
+            EngineKind::Native,
+            EngineKind::XQueryXTable,
+            EngineKind::XQueryNative,
+        ] {
+            let single = pool.match_corpus(&ruleset, engine, 1).unwrap();
+            assert!(!single.is_empty());
+            // Shard counts beyond the corpus size clamp instead of
+            // spawning empty shards.
+            for shards in [2, 4, 7, 1000] {
+                let sharded = pool.match_corpus(&ruleset, engine, shards).unwrap();
+                assert_eq!(single, sharded, "{engine:?} with {shards} shards");
+            }
         }
+    }
+
+    #[test]
+    fn sql_sweeps_run_on_the_calling_thread_under_its_knobs() {
+        use p3p_minidb::exec;
+        let shared = SharedServer::new(PolicyServer::new());
+        for p in p3p_workload::corpus(42) {
+            shared.install_policy(&p).unwrap();
+        }
+        let pool = MatchPool::new(&shared);
+        let snapshot = shared.snapshot();
+        let ruleset = Sensitivity::High.ruleset();
+        // Thread-local knobs a spawned shard thread would not inherit:
+        // the row engine, with every correlated EXISTS decorrelated.
+        exec::set_columnar(false);
+        exec::set_decorrelate_after(Some(0));
+        // Warm both sides' caches so the measured sweeps do equal work.
+        pool.match_corpus(&ruleset, EngineKind::Sql, 1).unwrap();
+        snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
+        snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
+        let single = exec::stats_snapshot();
+        exec::reset_stats();
+        pool.match_corpus(&ruleset, EngineKind::Sql, 4).unwrap();
+        let pooled = exec::stats_snapshot();
+        exec::set_columnar(true);
+        exec::set_decorrelate_after(None);
+        assert!(single.exists_builds > 0, "{single:?}");
+        assert_eq!(pooled, single);
     }
 
     #[test]

@@ -228,19 +228,6 @@ impl PolicyServer {
         self.catalog.raw_xml.get(name).map(|(id, _)| *id)
     }
 
-    /// Every installed policy as `(name, raw XML)` in name order — the
-    /// bootstrap payload a remote worker needs to rebuild this catalog.
-    /// Installing the pairs in the given order on a fresh server lands
-    /// on the same catalog epoch as any other worker doing the same,
-    /// which is what lets a distributed sweep pin one epoch fleet-wide.
-    pub fn policies_with_xml(&self) -> Vec<(String, String)> {
-        self.catalog
-            .raw_xml
-            .iter()
-            .map(|(name, (_, xml))| (name.clone(), xml.clone()))
-            .collect()
-    }
-
     /// Hit/miss/eviction counters of the per-ruleset translation cache.
     pub fn translation_cache_stats(&self) -> crate::translation::TranslationCacheStats {
         self.translations.stats()
@@ -278,14 +265,6 @@ impl PolicyServer {
     pub fn set_verdict_cache_capacity(&mut self, capacity: usize) {
         self.verdicts.detach_for_update();
         self.verdicts.set_capacity(capacity);
-    }
-
-    /// Drop every memoized verdict (schema/dialect-change hammer; the
-    /// precise per-policy eviction happens automatically on catalog
-    /// mutations). Detaches from shared clones first.
-    pub fn flush_verdict_cache(&mut self) -> usize {
-        self.verdicts.detach_for_update();
-        self.verdicts.flush()
     }
 
     /// Advance the catalog epoch after a mutation and mirror it to the

@@ -336,25 +336,6 @@ impl VerdictCache {
         dropped
     }
 
-    /// Ruleset-wide flush — reserved for schema or dialect changes
-    /// that can move every verdict at once. Returns how many entries
-    /// were dropped.
-    pub fn flush(&self) -> usize {
-        let mut dropped = 0;
-        for shard in &self.inner.shards {
-            let mut shard = shard.lock().unwrap();
-            dropped += shard.entries.len();
-            shard.entries.clear();
-        }
-        if dropped > 0 {
-            self.inner
-                .invalidations
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-            cache_metrics().invalidations.add(dropped as u64);
-        }
-        dropped
-    }
-
     /// Number of memoized verdicts.
     pub fn len(&self) -> usize {
         self.inner
@@ -448,16 +429,6 @@ mod tests {
         assert_eq!(cache.get(&key(0, 1, 1)), None);
         assert_eq!(cache.get(&key(0, 2, 1)), Some(verdict(Behavior::Request)));
         assert_eq!(cache.stats().invalidations, 4);
-    }
-
-    #[test]
-    fn flush_drops_everything() {
-        let cache = VerdictCache::with_capacity(64);
-        cache.insert(key(1, 1, 1), verdict(Behavior::Block));
-        cache.insert(key(2, 2, 1), verdict(Behavior::Request));
-        assert_eq!(cache.flush(), 2);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidations, 2);
     }
 
     #[test]

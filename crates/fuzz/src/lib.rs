@@ -195,9 +195,15 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
     }
 
     // Sharded corpus sweep off a shared snapshot (three shards so
-    // shard-boundary reassembly is actually exercised).
+    // shard-boundary reassembly is actually exercised). Only the
+    // per-policy-loop engines shard; a SQL "sharded" sweep is the bulk
+    // path compared above.
     let pool = MatchPool::new(&SharedServer::new(server.clone_state()));
-    for &engine in &[EngineKind::Native, EngineKind::Sql, EngineKind::SqlGeneric] {
+    for &engine in &[
+        EngineKind::Native,
+        EngineKind::XQueryXTable,
+        EngineKind::XQueryNative,
+    ] {
         report.verdicts_match(
             &format!("{}/sharded", engine.metric_label()),
             &reference,

@@ -336,11 +336,6 @@ impl Database {
         outcome
     }
 
-    /// Execute a pre-parsed statement.
-    pub fn execute_statement(&mut self, stmt: Statement) -> Result<ExecOutcome, DbError> {
-        self.execute_stmt_ref(&stmt, &[])
-    }
-
     fn execute_stmt_ref(
         &mut self,
         stmt: &Statement,

@@ -289,11 +289,6 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Run a SELECT against the database with no outer context.
-pub fn run_select(db: &Database, stmt: &SelectStmt) -> Result<QueryResult, DbError> {
-    run_select_bound(db, stmt, &[])
-}
-
 /// Run a SELECT with bound parameter values for `?`/`:name` slots.
 pub fn run_select_bound(
     db: &Database,
@@ -1880,11 +1875,6 @@ fn classify_columns(
         }
         Expr::IsNull { expr, .. } => classify_columns(expr, local, uses_local, uses_outer, clean),
     }
-}
-
-/// Evaluate a scalar expression with no table context (INSERT values).
-pub fn eval_const(db: &Database, expr: &Expr) -> Result<Value, DbError> {
-    eval_const_bound(db, expr, &[])
 }
 
 /// Evaluate a scalar expression with bound parameter values but no

@@ -80,11 +80,6 @@ impl Prepared {
         self.params.len()
     }
 
-    /// Per-slot parameter names (`None` for positional `?` slots).
-    pub fn param_names(&self) -> &[Option<String>] {
-        &self.params
-    }
-
     /// Resolve named bindings into the positional value vector expected
     /// by `query_prepared`/`execute_prepared`. Every slot must be named
     /// and supplied.

@@ -16,8 +16,9 @@
 //! * `POST /install` — body is P3P policy XML; shreds and installs.
 //! * `POST /match?policy=NAME[&engine=E]` — body is an APPEL ruleset;
 //!   `uri=` / `cookie=` select the other target forms.
-//! * `POST /match_corpus[?engine=E&shards=K]` — body is an APPEL
-//!   ruleset; sweeps every installed policy, one pinned epoch.
+//! * `POST /match_corpus[?engine=E]` — body is an APPEL ruleset;
+//!   sweeps every installed policy, one pinned epoch (engines whose
+//!   sweep is a per-policy loop shard it across one thread per core).
 //! * `GET /metrics` — the shared registry's Prometheus text page,
 //!   byte-identical to [`metrics::render_text`].
 //! * `GET /health` — liveness, policy count, epoch, drain state.
@@ -64,9 +65,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// How long an idle keep-alive connection may hold a worker.
     pub keep_alive_timeout: Duration,
-    /// Shard count for `/match_corpus` when the request does not pass
-    /// `shards=`; 0 means one shard per core.
-    pub default_shards: usize,
     /// Artificial per-request handler delay — load/drain drills use it
     /// to keep requests in flight deterministically. Zero in service.
     pub delay_ms: u64,
@@ -81,7 +79,6 @@ impl Default for ServeConfig {
             max_body_bytes: DEFAULT_MAX_BODY,
             read_timeout: Duration::from_secs(5),
             keep_alive_timeout: Duration::from_secs(30),
-            default_shards: 0,
             delay_ms: 0,
         }
     }
@@ -246,11 +243,6 @@ impl Daemon {
     pub fn begin_drain(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
         metrics::gauge("p3p_http_draining").set(1);
-    }
-
-    /// Whether a drain is in progress.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
     }
 
     /// Retune the artificial per-request handler delay at runtime.
@@ -727,21 +719,7 @@ fn handle_match_corpus(inner: &Inner, request: &Request) -> Response {
         Ok(ruleset) => ruleset,
         Err(response) => return response,
     };
-    let shards = match request.query_param("shards") {
-        None => default_shards(inner),
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Response::json(
-                    400,
-                    format!(
-                        "{{\"error\": \"bad shards value `{}`\"}}\n",
-                        json_escape(raw)
-                    ),
-                )
-            }
-        },
-    };
+    let shards = std::thread::available_parallelism().map_or(1, |p| p.get());
     match inner.pool.match_corpus_pinned(&ruleset, engine, shards) {
         Ok((epoch, verdicts)) => {
             let mut body = format!(
@@ -765,14 +743,6 @@ fn handle_match_corpus(inner: &Inner, request: &Request) -> Response {
             Response::json(200, body).with_epoch(epoch)
         }
         Err(err) => error_response(&err),
-    }
-}
-
-fn default_shards(inner: &Inner) -> usize {
-    if inner.config.default_shards > 0 {
-        inner.config.default_shards
-    } else {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 }
 
@@ -908,11 +878,7 @@ mod tests {
         let mut client = Client::connect(daemon.local_addr()).unwrap();
         let ruleset = Sensitivity::High.ruleset().to_xml();
         let response = client
-            .request(
-                "POST",
-                "/match_corpus?engine=sql&shards=3",
-                ruleset.as_bytes(),
-            )
+            .request("POST", "/match_corpus?engine=sql", ruleset.as_bytes())
             .unwrap();
         assert_eq!(response.status, 200, "{}", response.body_string());
         let body = response.body_string();

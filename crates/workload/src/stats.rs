@@ -13,9 +13,6 @@ pub struct CorpusStats {
     pub max_kb: f64,
     pub avg_kb: f64,
     pub avg_statements_per_policy: f64,
-    /// Serialized size of the whole corpus — what a distributed worker
-    /// downloads at bootstrap when the catalog is shipped as raw XML.
-    pub total_kb: f64,
 }
 
 /// Compute corpus statistics from serialized policy sizes.
@@ -30,7 +27,6 @@ pub fn corpus_stats(corpus: &[Policy]) -> CorpusStats {
         max_kb: kb(sizes.iter().copied().max().unwrap_or(0)),
         avg_kb: kb(sizes.iter().sum::<usize>()) / corpus.len().max(1) as f64,
         avg_statements_per_policy: total_statements as f64 / corpus.len().max(1) as f64,
-        total_kb: kb(sizes.iter().sum::<usize>()),
     }
 }
 
@@ -76,10 +72,6 @@ mod tests {
         assert!((stats.max_kb - 11.9).abs() < 0.8, "{stats:?}");
         assert!((stats.avg_kb - 4.4).abs() < 0.4, "{stats:?}");
         assert!((stats.avg_statements_per_policy - 1.86).abs() < 0.2);
-        assert!(
-            (stats.total_kb - stats.avg_kb * stats.policies as f64).abs() < 0.01,
-            "{stats:?}"
-        );
     }
 
     #[test]

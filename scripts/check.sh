@@ -56,15 +56,6 @@ grep -q '"hit_rate"' BENCH_churn.json
 grep -q '"speedup"' BENCH_churn.json
 grep -q '"cache_invalidations"' BENCH_churn.json
 
-echo "==> bench smoke (dist, single iteration)"
-cargo bench -p p3p-bench --bench dist -- --test
-
-echo "==> repro --table dist (kill-drill fold gate; 4-worker 2.5x floor on >=4 cores)"
-cargo run -q --release -p p3p-bench --bin repro -- --table dist > /dev/null
-grep -q '"fold_matches_single_process": true' BENCH_dist.json
-grep -q '"speedup_vs_1"' BENCH_dist.json
-grep -q '"scaling_gate_enforced"' BENCH_dist.json
-
 echo "==> bench smoke (serve, single iteration)"
 cargo bench -p p3p-bench --bench serve -- --test
 

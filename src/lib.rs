@@ -16,8 +16,6 @@
 //!   APPEL→XQuery, and the policy server.
 //! * [`workload`] — the synthetic Fortune-1000 corpus and JRC-style
 //!   preference suite of §6.2.
-//! * [`dist`] — distributed corpus matching: the shard scheduler and
-//!   worker fleet over a length-prefixed wire protocol.
 //! * [`serve`] — the network-facing daemon: a dependency-free
 //!   HTTP/1.1 listener with admission control, backpressure, and
 //!   graceful drain over the concurrent matching layer.
@@ -43,7 +41,6 @@
 //! ```
 
 pub use p3p_appel as appel;
-pub use p3p_dist as dist;
 pub use p3p_minidb as minidb;
 pub use p3p_policy as policy;
 pub use p3p_serve as serve;

@@ -253,69 +253,6 @@ fn verdict_cache_counters_and_epoch_gauge_are_exported() {
     );
 }
 
-/// A distributed sweep populates the `p3p_dist_*` job counters and the
-/// worker gauge, and every family renders with exactly one HELP/TYPE
-/// header in the Prometheus text page and appears in the JSON snapshot.
-#[test]
-fn distributed_sweep_counters_and_gauge_are_exported() {
-    use p3p_suite::dist::{corpus_server, worker, SchedConfig, Scheduler, WorkerConfig};
-    use p3p_suite::workload::Sensitivity;
-
-    let server = corpus_server(5, 20).unwrap();
-    let mut sched = Scheduler::bind("127.0.0.1:0", server, SchedConfig::default()).unwrap();
-    let addr = sched.local_addr().to_string();
-    // The worker side runs on a thread: same protocol, no subprocess.
-    let worker = std::thread::spawn(move || {
-        worker::run(
-            &addr,
-            &WorkerConfig {
-                name: "telemetry-probe".into(),
-                delay_ms: 0,
-            },
-        )
-        .unwrap()
-    });
-    sched.accept_workers(1).unwrap();
-    assert!(metrics::gauge("p3p_dist_workers_active").get() >= 1);
-
-    let before = metrics::counter("p3p_dist_jobs_completed_total").get();
-    let report = sched
-        .sweep(&Sensitivity::Medium.ruleset(), EngineKind::Sql, 5)
-        .unwrap();
-    assert_eq!(report.verdicts.len(), 20);
-    sched.shutdown();
-    assert!(worker.join().unwrap() >= 1, "the worker served jobs");
-
-    assert!(metrics::counter("p3p_dist_jobs_dispatched_total").get() >= 4);
-    assert!(metrics::counter("p3p_dist_jobs_completed_total").get() >= before + 4);
-
-    let text = metrics::render_text();
-    let json = metrics::snapshot_json();
-    for (family, kind) in [
-        ("p3p_dist_jobs_dispatched_total", "counter"),
-        ("p3p_dist_jobs_completed_total", "counter"),
-        ("p3p_dist_jobs_requeued_total", "counter"),
-        ("p3p_dist_heartbeat_misses_total", "counter"),
-        ("p3p_dist_workers_active", "gauge"),
-    ] {
-        assert!(
-            text.contains(family),
-            "{family} missing from Prometheus text"
-        );
-        assert!(json.contains(family), "{family} missing from JSON snapshot");
-        assert_eq!(
-            text.matches(&format!("# HELP {family} ")).count(),
-            1,
-            "{family} must carry exactly one HELP line"
-        );
-        assert_eq!(
-            text.matches(&format!("# TYPE {family} {kind}")).count(),
-            1,
-            "{family} must render as a {kind}"
-        );
-    }
-}
-
 /// The daemon's `GET /metrics` body is byte-identical to the metrics
 /// registry's own Prometheus render, and every `p3p_http_*` family it
 /// adds carries exactly one HELP and one TYPE header.
