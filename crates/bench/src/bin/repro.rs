@@ -23,9 +23,10 @@ use p3p_bench::{
     bench_matching_json, bench_profile_json, bench_scaling_json, bulk_report, bulk_table,
     caching_report, caching_table, churn_report, churn_table, export_trace, figure19, figure20,
     figure21, fuzz_report, fuzz_table, join_report, join_table, profile_report, profile_table,
-    scaling_rows, scaling_rows_growth, scaling_table, serve_report, serve_table, shredding_table,
+    scaling_rows, scaling_rows_growth, scaling_table, serve_report, serve_table,
+    served_install_growth, served_install_rows, served_install_table, shredding_table,
     subset_table, telemetry_table, warm_cold_table, DEFAULT_SEED, SCALING_MAX_ROWS_GROWTH,
-    SCALING_SIZES,
+    SCALING_SIZES, SERVED_INSTALLS, SERVED_INSTALL_MAX_GROWTH, SERVED_INSTALL_SIZES,
 };
 
 fn main() {
@@ -370,7 +371,9 @@ fn main() {
     if all || tables.iter().any(|t| t == "scaling") {
         let rows = scaling_rows(seed, &SCALING_SIZES);
         println!("{}", scaling_table(&rows));
-        let json = bench_scaling_json(seed, &rows);
+        let served = served_install_rows(seed, &SERVED_INSTALL_SIZES, SERVED_INSTALLS);
+        println!("{}", served_install_table(&served));
+        let json = bench_scaling_json(seed, &rows, &served);
         let path = std::path::Path::new("BENCH_scaling.json");
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {}\n", path.display()),
@@ -386,6 +389,18 @@ fn main() {
                  {SCALING_MAX_ROWS_GROWTH:.1}x)",
                 rows.first().map_or(0, |r| r.policies),
                 rows.last().map_or(0, |r| r.policies),
+            );
+            scaling_ok = false;
+        }
+        // A served install must cost O(policy): the 20,000-policy mean
+        // may be at most 2x the 2,000-policy one.
+        let served_growth = served_install_growth(&served);
+        if served_growth > SERVED_INSTALL_MAX_GROWTH {
+            eprintln!(
+                "error: served install grows {served_growth:.2}x from {} to {} policies (gate \
+                 {SERVED_INSTALL_MAX_GROWTH:.1}x)",
+                served.first().map_or(0, |r| r.policies),
+                served.last().map_or(0, |r| r.policies),
             );
             scaling_ok = false;
         }

@@ -612,6 +612,7 @@ pub fn bench_matching_json(seed: u64, report: &CachingReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
+    out.push_str(&provenance_json());
     out.push_str("  \"engines\": [\n");
     for (i, row) in report.rows.iter().enumerate() {
         let all = row.all_total();
@@ -1377,6 +1378,96 @@ pub fn scaling_table(rows: &[ScalingRow]) -> String {
     out
 }
 
+/// One corpus size of the served-install gate: what `POST /install`
+/// costs the daemon, an install plus [`MatchPool::refresh`] while the
+/// pool's snapshot is alive.
+#[derive(Debug, Clone)]
+pub struct ServedInstallRow {
+    pub policies: usize,
+    pub installs: usize,
+    /// Mean of install plus refresh over the fresh policies.
+    pub mean: Duration,
+}
+
+/// Corpus sizes of the served-install gate.
+pub const SERVED_INSTALL_SIZES: [usize; 2] = [2000, 20000];
+
+/// Fresh policies installed per size.
+pub const SERVED_INSTALLS: usize = 10;
+
+/// The served-install gate: the mean at the largest corpus may be at
+/// most this multiple of the mean at the smallest.
+pub const SERVED_INSTALL_MAX_GROWTH: f64 = 2.0;
+
+/// Measure served installs: build each corpus, pin a [`MatchPool`]
+/// snapshot, then install `installs` fresh `gen_policy` policies from
+/// their XML, refreshing the pool after each, as the daemon does.
+/// Copy-on-write at chunk and trie-node grain keeps the cost flat in
+/// the corpus size.
+pub fn served_install_rows(seed: u64, sizes: &[usize], installs: usize) -> Vec<ServedInstallRow> {
+    use p3p_workload::gen::{gen_policy, GenConfig};
+    let mut out = Vec::new();
+    for &n in sizes {
+        let mut server = PolicyServer::new();
+        for p in corpus_n(seed, n) {
+            server.install_policy(&p).expect("installs");
+        }
+        let shared = SharedServer::new(server);
+        let pool = MatchPool::new(&shared);
+        let mut rng = p3p_workload::rng::SmallRng::seed_from_u64(seed ^ n as u64);
+        let mut total = Duration::ZERO;
+        for i in 0..installs {
+            let name = format!("served-install-{n}-{i}");
+            let xml = gen_policy(&mut rng, &name, &GenConfig::default()).to_xml();
+            let t = Instant::now();
+            shared
+                .with(|s| s.install_policy_xml(&xml))
+                .expect("fresh policy installs");
+            pool.refresh(&shared);
+            total += t.elapsed();
+        }
+        out.push(ServedInstallRow {
+            policies: n,
+            installs,
+            mean: total / installs.max(1) as u32,
+        });
+    }
+    out
+}
+
+/// Served-install mean at the largest corpus over the smallest — the
+/// quantity the gate bounds by [`SERVED_INSTALL_MAX_GROWTH`].
+pub fn served_install_growth(rows: &[ServedInstallRow]) -> f64 {
+    match (rows.first(), rows.last()) {
+        (Some(first), Some(last)) => last.mean.as_secs_f64() / first.mean.as_secs_f64().max(1e-9),
+        _ => 1.0,
+    }
+}
+
+/// Render the served-install rows.
+pub fn served_install_table(rows: &[ServedInstallRow]) -> String {
+    let mut out = String::new();
+    out.push_str("Served install: install + MatchPool::refresh with the pool's snapshot alive\n");
+    out.push_str(&format!(
+        "{:>8} {:>9} {:>12}\n",
+        "policies", "installs", "mean"
+    ));
+    for row in rows {
+        out.push_str(&format!(
+            "{:>8} {:>9} {:>12}\n",
+            row.policies,
+            row.installs,
+            fmt_duration(row.mean)
+        ));
+    }
+    out.push_str(&format!(
+        "(the mean grows {:.2}x from the smallest to the largest corpus; gate {:.1}x)\n",
+        served_install_growth(rows),
+        SERVED_INSTALL_MAX_GROWTH
+    ));
+    out
+}
+
 /// The revision of the checkout this binary was built from, suffixed
 /// `-dirty` when it has uncommitted changes, or `"unknown"` when that
 /// checkout is not a git work tree (git is kept from searching the
@@ -1412,8 +1503,9 @@ fn provenance_json() -> String {
 }
 
 /// `BENCH_scaling.json`: per-size latencies and SQL executor work per
-/// match, with provenance and the rows-growth gate's verdict.
-pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow]) -> String {
+/// match, the served-install means, with provenance and both gates'
+/// verdicts.
+pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow], served: &[ServedInstallRow]) -> String {
     let growth = scaling_rows_growth(rows);
     let mut out = String::new();
     out.push_str("{\n");
@@ -1447,8 +1539,30 @@ pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow]) -> String {
         "  \"sql_rows_growth_max\": {SCALING_MAX_ROWS_GROWTH:.1},\n"
     ));
     out.push_str(&format!(
-        "  \"rows_gate_passed\": {}\n",
+        "  \"rows_gate_passed\": {},\n",
         growth <= SCALING_MAX_ROWS_GROWTH
+    ));
+    out.push_str("  \"served_install\": [\n");
+    for (i, row) in served.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"policies\": {}, \"installs\": {}, \"mean_us\": {:.1}}}{}\n",
+            row.policies,
+            row.installs,
+            us(row.mean),
+            if i + 1 < served.len() { "," } else { "" },
+        ));
+    }
+    let served_growth = served_install_growth(served);
+    out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"served_install_growth\": {served_growth:.3},\n"
+    ));
+    out.push_str(&format!(
+        "  \"served_install_growth_max\": {SERVED_INSTALL_MAX_GROWTH:.1},\n"
+    ));
+    out.push_str(&format!(
+        "  \"served_install_gate_passed\": {}\n",
+        served_growth <= SERVED_INSTALL_MAX_GROWTH
     ));
     out.push_str("}\n");
     out
@@ -1799,13 +1913,14 @@ pub fn churn_table(report: &ChurnReport) -> String {
 /// Machine-readable churn summary (`BENCH_churn.json`).
 pub fn bench_churn_json(report: &ChurnReport) -> String {
     format!(
-        "{{\n  \"seed\": {},\n  \"initial_policies\": {},\n  \"ops\": {},\n  \
+        "{{\n  \"seed\": {},\n{}  \"initial_policies\": {},\n  \"ops\": {},\n  \
          \"churn_rate\": {},\n  \"updates\": {},\n  \"matches\": {},\n  \
          \"hits\": {},\n  \"misses\": {},\n  \"hit_rate\": {:.4},\n  \
          \"cached_p50_us\": {:.3},\n  \"uncached_p50_us\": {:.3},\n  \
          \"speedup\": {:.2},\n  \"final_epoch\": {},\n  \"cache_entries\": {},\n  \
          \"cache_evictions\": {},\n  \"cache_invalidations\": {}\n}}\n",
         report.seed,
+        provenance_json(),
         report.initial_policies,
         report.ops,
         report.churn_rate,
@@ -2188,12 +2303,15 @@ mod tests {
             assert!(row.sql_matches >= 10, "{row:?}");
             assert!(row.sql_rows_scanned > 0, "{row:?}");
         }
-        let json = bench_scaling_json(DEFAULT_SEED, &rows);
+        let served = served_install_rows(DEFAULT_SEED, &[29], 1);
+        assert_eq!((served[0].policies, served[0].installs), (29, 1));
+        let json = bench_scaling_json(DEFAULT_SEED, &rows, &served);
         for key in [
             "\"git_rev\"",
             "\"parallelism\"",
             "\"sql_rows_per_match\"",
             "\"rows_gate_passed\"",
+            "\"served_install_gate_passed\"",
         ] {
             assert!(json.contains(key), "{key} missing:\n{json}");
         }

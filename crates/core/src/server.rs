@@ -33,14 +33,15 @@ use crate::view;
 use crate::xtable::XTable;
 use p3p_appel::engine::{AppelEngine, Verdict};
 use p3p_appel::model::Ruleset;
+use p3p_minidb::pmap::PMap;
 use p3p_minidb::{Database, Value};
 use p3p_policy::augment::augment_policy;
 use p3p_policy::model::Policy;
 use p3p_policy::reference::ReferenceFile;
 use p3p_telemetry::slowlog::QueryContextGuard;
 use p3p_telemetry::{metrics, span};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which matching engine to use.
@@ -134,23 +135,51 @@ pub struct MatchOutcome {
     pub epoch: u64,
 }
 
+/// One installed policy's catalog record.
+#[derive(Debug)]
+struct InstalledPolicy {
+    name: String,
+    /// The original XML text — what a client would be served, fed to
+    /// the native engine.
+    xml: String,
+    /// Explicit-form XML for the XQuery-on-XML engine.
+    explicit: p3p_xmldom::Element,
+}
+
 /// The installed-policy catalog: everything keyed by policy name/id
-/// outside the relational store. Kept behind an `Arc` so snapshotting a
-/// server shares it instead of deep-copying every policy's XML.
+/// outside the relational store. Each map is a persistent hash trie,
+/// so snapshotting a server shares the catalog and an install copies
+/// one root-to-leaf path per map, never every policy's XML.
 #[derive(Debug, Clone, Default)]
 struct PolicyCatalog {
-    /// name → (policy id, original XML text) — what a client would be
-    /// served, fed to the native engine.
-    raw_xml: BTreeMap<String, (i64, String)>,
-    /// id → name, for O(1) reverse lookup.
-    names_by_id: HashMap<i64, String>,
-    /// id → explicit-form XML for the XQuery-on-XML engine.
-    explicit_xml: BTreeMap<i64, p3p_xmldom::Element>,
+    /// name → policy id.
+    ids: PMap<String, i64>,
+    /// id → the installed policy.
+    policies: PMap<i64, Arc<InstalledPolicy>>,
     /// name → version counter, bumped on every install *and* remove of
     /// that name and kept after removal, so a name that is retired and
     /// later re-installed can never resurrect a stale cached verdict
     /// (the classic ABA hazard).
-    versions: BTreeMap<String, u64>,
+    versions: PMap<String, u64>,
+    /// `(id, name)` of every installed policy in name order, sorted on
+    /// first use per catalog version. Installs and removals swap in a
+    /// fresh cell, so snapshots keep the roster of the version they
+    /// captured and repeated sweeps do not re-sort.
+    roster: Arc<OnceLock<Vec<(i64, String)>>>,
+}
+
+impl PolicyCatalog {
+    fn roster(&self) -> &[(i64, String)] {
+        self.roster.get_or_init(|| {
+            let mut roster: Vec<(i64, String)> = self
+                .ids
+                .iter()
+                .map(|(name, id)| (*id, name.clone()))
+                .collect();
+            roster.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+            roster
+        })
+    }
 }
 
 /// The server: database + document stores + catalogs.
@@ -159,7 +188,7 @@ pub struct PolicyServer {
     db: Database,
     generic: GenericSchema,
     xtable: XTable,
-    catalog: Arc<PolicyCatalog>,
+    catalog: PolicyCatalog,
     /// Ruleset-fingerprint → prepared plans. Shared across clones so
     /// concurrent snapshots warm the cache for each other.
     translations: TranslationCache,
@@ -189,7 +218,7 @@ impl PolicyServer {
             db,
             xtable: XTable::new(generic.clone()),
             generic,
-            catalog: Arc::new(PolicyCatalog::default()),
+            catalog: PolicyCatalog::default(),
             translations: TranslationCache::default(),
             verdicts: VerdictCache::default(),
             catalog_epoch: 0,
@@ -218,14 +247,28 @@ impl PolicyServer {
         &mut self.db
     }
 
-    /// Names of installed policies.
+    /// Names of installed policies, sorted.
     pub fn policy_names(&self) -> Vec<String> {
-        self.catalog.raw_xml.keys().cloned().collect()
+        self.catalog
+            .roster()
+            .iter()
+            .map(|(_, name)| name.clone())
+            .collect()
     }
 
     /// The id of an installed policy.
     pub fn policy_id(&self, name: &str) -> Option<i64> {
-        self.catalog.raw_xml.get(name).map(|(id, _)| *id)
+        self.catalog.ids.get(name).copied()
+    }
+
+    /// Catalog entries held in trie nodes `other` does not share with
+    /// this server: what installs on a fork copied of the catalog.
+    #[cfg(test)]
+    pub(crate) fn catalog_entries_unshared_with(&self, other: &PolicyServer) -> usize {
+        let (mine, theirs) = (&self.catalog, &other.catalog);
+        mine.ids.unshared_entries(&theirs.ids)
+            + mine.policies.unshared_entries(&theirs.policies)
+            + mine.versions.unshared_entries(&theirs.versions)
     }
 
     /// Hit/miss/eviction counters of the per-ruleset translation cache.
@@ -247,10 +290,9 @@ impl PolicyServer {
 
     fn policy_version_by_id(&self, policy_id: i64) -> u64 {
         self.catalog
-            .names_by_id
+            .policies
             .get(&policy_id)
-            .map(|name| self.policy_version(name))
-            .unwrap_or(0)
+            .map_or(0, |p| self.policy_version(&p.name))
     }
 
     /// Hit/miss/eviction/invalidation counters of the verdict cache.
@@ -339,7 +381,7 @@ impl PolicyServer {
     }
 
     fn install_with_xml(&mut self, policy: &Policy, xml: String) -> Result<i64, ServerError> {
-        if self.catalog.raw_xml.contains_key(&policy.name) {
+        if self.catalog.ids.contains_key(&policy.name) {
             return Err(ServerError::Install(format!(
                 "policy `{}` is already installed",
                 policy.name
@@ -367,11 +409,18 @@ impl PolicyServer {
             self.generic.shred(&mut self.db, id, &explicit)?;
         }
         shred_us("generic").observe_duration(t1.elapsed());
-        let catalog = Arc::make_mut(&mut self.catalog);
-        catalog.raw_xml.insert(policy.name.clone(), (id, xml));
-        catalog.names_by_id.insert(id, policy.name.clone());
-        catalog.explicit_xml.insert(id, explicit);
-        *catalog.versions.entry(policy.name.clone()).or_insert(0) += 1;
+        let catalog = &mut self.catalog;
+        catalog.roster = Arc::default();
+        catalog.ids.insert(policy.name.clone(), id);
+        let installed = InstalledPolicy {
+            name: policy.name.clone(),
+            xml,
+            explicit,
+        };
+        catalog.policies.insert(id, Arc::new(installed));
+        *catalog
+            .versions
+            .get_or_insert_with(policy.name.clone(), || 0) += 1;
         self.bump_epoch();
         metrics::histogram("p3p_install_policy_us").observe_duration(start.elapsed());
         metrics::counter("p3p_policies_installed_total").inc();
@@ -382,17 +431,14 @@ impl PolicyServer {
     /// the policy's verdict-cache entries (and only those), and
     /// advances the catalog epoch.
     pub fn remove_policy(&mut self, name: &str) -> Result<(), ServerError> {
-        if !self.catalog.raw_xml.contains_key(name) {
+        let Some(id) = self.catalog.ids.remove(name) else {
             return Err(ServerError::UnknownPolicy(name.to_string()));
-        }
-        self.verdicts.detach_for_update();
-        let catalog = Arc::make_mut(&mut self.catalog);
-        let Some((id, _)) = catalog.raw_xml.remove(name) else {
-            unreachable!("existence checked above");
         };
-        catalog.names_by_id.remove(&id);
-        catalog.explicit_xml.remove(&id);
-        *catalog.versions.entry(name.to_string()).or_insert(0) += 1;
+        self.verdicts.detach_for_update();
+        let catalog = &mut self.catalog;
+        catalog.roster = Arc::default();
+        catalog.policies.remove(&id);
+        *catalog.versions.get_or_insert_with(name.to_string(), || 0) += 1;
         self.verdicts.invalidate_policy(id);
         optimized::unshred(&mut self.db, id)?;
         // Generic tables: sweep by policy_id.
@@ -416,9 +462,9 @@ impl PolicyServer {
     /// installed policies.
     pub fn install_reference(&mut self, file: &ReferenceFile) -> Result<(), ServerError> {
         self.next_meta_id += 1;
-        let catalog = Arc::clone(&self.catalog);
+        let ids = self.catalog.ids.clone();
         refschema::shred_reference(&mut self.db, self.next_meta_id, file, |name| {
-            catalog.raw_xml.get(name).map(|(id, _)| *id)
+            ids.get(name).copied()
         })
     }
 
@@ -547,10 +593,9 @@ impl PolicyServer {
 
     fn raw_xml_of(&self, policy_id: i64) -> Result<&str, ServerError> {
         self.catalog
-            .names_by_id
+            .policies
             .get(&policy_id)
-            .and_then(|name| self.catalog.raw_xml.get(name))
-            .map(|(_, xml)| xml.as_str())
+            .map(|p| p.xml.as_str())
             .ok_or_else(|| ServerError::UnknownPolicy(format!("id {policy_id}")))
     }
 
@@ -743,11 +788,12 @@ impl PolicyServer {
         ruleset: &Ruleset,
         policy_id: i64,
     ) -> Result<MatchOutcome, ServerError> {
-        let doc = self
+        let doc = &self
             .catalog
-            .explicit_xml
+            .policies
             .get(&policy_id)
-            .ok_or_else(|| ServerError::UnknownPolicy(format!("id {policy_id}")))?;
+            .ok_or_else(|| ServerError::UnknownPolicy(format!("id {policy_id}")))?
+            .explicit;
         let mut convert = Duration::ZERO;
         let mut query = Duration::ZERO;
         for (index, rule) in ruleset.rules.iter().enumerate() {
@@ -931,12 +977,7 @@ impl PolicyServer {
     /// into name order).
     fn roster(&self, subset: Option<&[String]>) -> Result<Vec<(i64, String)>, ServerError> {
         match subset {
-            None => Ok(self
-                .catalog
-                .raw_xml
-                .iter()
-                .map(|(name, (id, _))| (*id, name.clone()))
-                .collect()),
+            None => Ok(self.catalog.roster().to_vec()),
             Some(names) => names
                 .iter()
                 .map(|name| {
@@ -960,7 +1001,7 @@ impl PolicyServer {
         generic: bool,
     ) -> Result<Vec<(String, Verdict)>, ServerError> {
         let roster = self.roster(subset)?;
-        let total_installed = self.catalog.raw_xml.len();
+        let total_installed = self.catalog.ids.len();
         let variant = if generic {
             TranslationVariant::GenericCorpus
         } else {

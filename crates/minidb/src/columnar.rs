@@ -32,7 +32,7 @@ use crate::exec;
 use crate::profile::{Collector, ExistsStrategy};
 use crate::schema::DataType;
 use crate::sql::ast::{CompareOp, Expr, SelectItem, SelectStmt, TableRef};
-use crate::table::Table;
+use crate::table::{Chunked, Column, Rows, Table, TextCells};
 use crate::value::{like_match, Value};
 
 /// Candidate-row count at or below which an EXISTS statement is left to
@@ -296,41 +296,33 @@ pub(crate) fn try_select(
     let mut selected: Vec<usize> = Vec::new();
     let scan_start = profiler.as_ref().map(|_| Instant::now());
     let mut visited = 0u64;
-    let mut range_ids: Vec<usize> = Vec::new();
-    let mut pos = 0usize;
-    while pos < candidates {
-        let end = (pos + BATCH).min(candidates);
-        let ids: &[usize] = match &probe {
-            Some(p) => &p.ids[pos..end],
-            None => {
-                range_ids.clear();
-                range_ids.extend(pos..end);
-                &range_ids
-            }
-        };
-        exec::bump(|s| s.rows_scanned += ids.len() as u64);
-        visited += ids.len() as u64;
+    let mut scan = |rows: Rows<'_>| {
+        exec::bump(|s| s.rows_scanned += rows.len() as u64);
+        visited += rows.len() as u64;
         match &c.kernel {
             Some(kernel) => {
                 let filter_start = profiler.as_ref().map(|_| Instant::now());
-                let sel = eval(kernel, table, ids, profiler.as_ref());
+                let sel = eval(kernel, table, rows, profiler.as_ref());
                 let before = selected.len();
-                for (k, &id) in ids.iter().enumerate() {
+                for k in 0..rows.len() {
                     if sel.get(k) == Some(true) {
-                        selected.push(id);
+                        selected.push(rows.id(k));
                     }
                 }
                 if let Some(p) = &profiler {
                     p.record_filter_batch(
-                        ids.len() as u64,
+                        rows.len() as u64,
                         (selected.len() - before) as u64,
                         filter_start.expect("profiling on").elapsed(),
                     );
                 }
             }
-            None => selected.extend_from_slice(ids),
+            None => selected.extend((0..rows.len()).map(|k| rows.id(k))),
         }
-        pos = end;
+    };
+    match &probe {
+        Some(p) => p.ids.chunks(BATCH).for_each(|ids| scan(Rows::Ids(ids))),
+        None => table.chunks().for_each(scan),
     }
     if let Some(p) = &profiler {
         let planned = if probe.is_some() {
@@ -465,25 +457,25 @@ fn project_distinct(table: &Table, items: &[Item], selected: &[usize]) -> Vec<Ve
         if let Some(data) = column.ints() {
             let mut seen: HashSet<i64> = HashSet::new();
             for &id in selected {
-                if !column.is_valid(id) {
-                    if !null_seen {
+                match data.get(id) {
+                    None if !null_seen => {
                         null_seen = true;
                         rows.push(vec![Value::Null]);
                     }
-                } else if seen.insert(data[id]) {
-                    rows.push(vec![Value::Int(data[id])]);
+                    Some(&v) if seen.insert(v) => rows.push(vec![Value::Int(v)]),
+                    _ => {}
                 }
             }
         } else if let Some(data) = column.texts() {
             let mut seen: HashSet<&str> = HashSet::new();
             for &id in selected {
-                if !column.is_valid(id) {
-                    if !null_seen {
+                match data.get(id) {
+                    None if !null_seen => {
                         null_seen = true;
                         rows.push(vec![Value::Null]);
                     }
-                } else if seen.insert(data[id].as_str()) {
-                    rows.push(vec![Value::Text(data[id].clone())]);
+                    Some(v) if seen.insert(v) => rows.push(vec![Value::Text(v.to_owned())]),
+                    _ => {}
                 }
             }
         }
@@ -1029,7 +1021,7 @@ fn new_key_set(table: &Table, key_cols: &[usize]) -> KeySet {
 }
 
 /// One columnar scan of the subquery table: evaluate the residual per
-/// batch, insert the key tuples of passing rows (NULL keys never
+/// chunk, insert the key tuples of passing rows (NULL keys never
 /// match, so they are skipped at build).
 fn build_one_set(ek: &ExistsSpec<'_>, prof: Option<&Collector>) -> KeySet {
     let table = ek.sub_table;
@@ -1039,27 +1031,11 @@ fn build_one_set(ek: &ExistsSpec<'_>, prof: Option<&Collector>) -> KeySet {
     });
     let mut set = new_key_set(table, &ek.key_cols);
     let scan_start = prof.map(|_| Instant::now());
-    let mut ids: Vec<usize> = Vec::with_capacity(BATCH.min(table.len().max(1)));
-    for chunk_start in (0..table.len()).step_by(BATCH) {
-        let end = (chunk_start + BATCH).min(table.len());
-        ids.clear();
-        ids.extend(chunk_start..end);
-        exec::bump(|s| s.rows_scanned += ids.len() as u64);
-        match &ek.residual {
-            Some(residual) => {
-                let sel = eval(residual, table, &ids, prof);
-                for (k, &id) in ids.iter().enumerate() {
-                    if sel.get(k) == Some(true) {
-                        insert_key(&mut set, table, &ek.key_cols, id);
-                    }
-                }
-            }
-            None => {
-                for &id in &ids {
-                    insert_key(&mut set, table, &ek.key_cols, id);
-                }
-            }
-        }
+    for rows in table.chunks() {
+        exec::bump(|s| s.rows_scanned += rows.len() as u64);
+        let sel = ek.residual.as_ref().map(|r| eval(r, table, rows, prof));
+        let pass = |k: usize| sel.as_ref().is_none_or(|sel| sel.get(k) == Some(true));
+        insert_keys(&mut set, table, &ek.key_cols, rows, pass);
     }
     if let Some(p) = prof {
         p.record_level(
@@ -1074,133 +1050,166 @@ fn build_one_set(ek: &ExistsSpec<'_>, prof: Option<&Collector>) -> KeySet {
     set
 }
 
-fn insert_key(set: &mut KeySet, table: &Table, key_cols: &[usize], id: usize) {
+/// Insert the keys of the batch's rows at the positions `pass` accepts.
+fn insert_keys(
+    set: &mut KeySet,
+    table: &Table,
+    key_cols: &[usize],
+    rows: Rows<'_>,
+    pass: impl Fn(usize) -> bool,
+) {
     match set {
-        KeySet::Int(s) => {
-            let c = &table.columns()[key_cols[0]];
-            if c.is_valid(id) {
-                s.insert(c.ints().expect("typed by schema")[id]);
+        KeySet::Int(s) => ints(table, key_cols[0]).each(rows, |k, v| {
+            if let Some(&v) = v.filter(|_| pass(k)) {
+                s.insert(v);
             }
-        }
-        KeySet::Text(s) => {
-            let c = &table.columns()[key_cols[0]];
-            if c.is_valid(id) {
-                s.insert(c.texts().expect("typed by schema")[id].clone());
+        }),
+        KeySet::Text(s) => texts(table, key_cols[0]).each(rows, |k, v| {
+            if let Some(v) = v.filter(|_| pass(k)) {
+                s.insert(v.to_owned());
             }
-        }
+        }),
         KeySet::Multi(s) => {
-            let mut key = Vec::with_capacity(key_cols.len());
-            for &kc in key_cols {
-                let v = table.value(id, kc);
-                if v.is_null() {
-                    return;
+            // Gather only the passing rows' cells.
+            let ids: Vec<usize> = (0..rows.len())
+                .filter(|&k| pass(k))
+                .map(|k| rows.id(k))
+                .collect();
+            let cells = gather(table, key_cols, Rows::Ids(&ids));
+            for k in 0..ids.len() {
+                let mut key = Vec::with_capacity(key_cols.len());
+                if tuple_into(&cells, k, &mut key) {
+                    s.insert(key);
                 }
-                key.push(v);
             }
-            s.insert(key);
         }
     }
+}
+
+/// One column's cells for a batch, borrowed from the table.
+enum Gathered<'t> {
+    Int(Vec<Option<i64>>),
+    Text(Vec<Option<&'t str>>),
+}
+
+/// The cells of `cols` for a batch, read a column at a time (a
+/// full-scan batch resolves each chunk once).
+fn gather<'t>(table: &'t Table, cols: &[usize], rows: Rows<'_>) -> Vec<Gathered<'t>> {
+    cols.iter()
+        .map(|&col| match &table.columns()[col] {
+            Column::Int(c) => {
+                let mut cells = Vec::with_capacity(rows.len());
+                c.each(rows, |_, v| cells.push(v.copied()));
+                Gathered::Int(cells)
+            }
+            Column::Text(c) => {
+                let mut cells = Vec::with_capacity(rows.len());
+                c.each(rows, |_, v| cells.push(v));
+                Gathered::Text(cells)
+            }
+        })
+        .collect()
+}
+
+/// Row `k`'s tuple over the gathered columns into `key` (cleared
+/// first); false when a cell is NULL, since a NULL key never matches.
+fn tuple_into(cells: &[Gathered<'_>], k: usize, key: &mut Vec<Value>) -> bool {
+    key.clear();
+    for column in cells {
+        let cell = match column {
+            Gathered::Int(v) => v[k].map(Value::Int),
+            Gathered::Text(v) => v[k].map(|s| Value::Text(s.to_string())),
+        };
+        match cell {
+            Some(cell) => key.push(cell),
+            None => return false,
+        }
+    }
+    true
 }
 
 // ---------------------------------------------------------------------
 // Batch evaluation
 // ---------------------------------------------------------------------
 
-fn eval(spec: &Spec<'_>, table: &Table, ids: &[usize], prof: Option<&Collector>) -> BoolVec {
-    let n = ids.len();
+fn ints(table: &Table, col: usize) -> &Chunked<Vec<i64>> {
+    table.columns()[col].ints().expect("typed by schema")
+}
+
+fn texts(table: &Table, col: usize) -> &Chunked<TextCells> {
+    table.columns()[col].texts().expect("typed by schema")
+}
+
+fn eval(spec: &Spec<'_>, table: &Table, rows: Rows<'_>, prof: Option<&Collector>) -> BoolVec {
     match spec {
-        Spec::Const(v) => BoolVec::splat(n, *v),
-        Spec::CmpIntLit { col, op, lit } => {
-            let c = &table.columns()[*col];
-            let data = c.ints().expect("typed by schema");
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                if c.is_valid(id) {
-                    out.set(k, Some(cmp_ord(*op, data[id].cmp(lit))));
-                }
+        Spec::Const(v) => BoolVec::splat(rows.len(), *v),
+        Spec::Not(a) => eval(a, table, rows, prof).not(),
+        Spec::And(a, b) => eval(a, table, rows, prof).and(&eval(b, table, rows, prof)),
+        Spec::Or(a, b) => eval(a, table, rows, prof).or(&eval(b, table, rows, prof)),
+        Spec::Exists(ek) => eval_exists(ek, table, rows, prof),
+        kernel => eval_kernel(kernel, table, rows),
+    }
+}
+
+/// A kernel over one column or a column pair.
+fn eval_kernel(spec: &Spec<'_>, table: &Table, rows: Rows<'_>) -> BoolVec {
+    let n = rows.len();
+    let mut out = BoolVec::unknown(n);
+    match spec {
+        Spec::CmpIntLit { col, op, lit } => ints(table, *col).each(rows, |k, v| {
+            if let Some(v) = v {
+                out.set(k, Some(cmp_ord(*op, v.cmp(lit))));
             }
-            out
-        }
-        Spec::CmpTextLit { col, op, lit } => {
-            let c = &table.columns()[*col];
-            let data = c.texts().expect("typed by schema");
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                if c.is_valid(id) {
-                    out.set(k, Some(cmp_ord(*op, data[id].as_str().cmp(lit.as_str()))));
-                }
+        }),
+        Spec::CmpTextLit { col, op, lit } => texts(table, *col).each(rows, |k, v| {
+            if let Some(v) = v {
+                out.set(k, Some(cmp_ord(*op, v.cmp(lit.as_str()))));
             }
-            out
-        }
+        }),
         Spec::CmpMismatch { col, op } => {
             let c = &table.columns()[*col];
-            let v = match op {
-                CompareOp::Eq => Some(false),
-                CompareOp::Neq => Some(true),
-                _ => None,
-            };
-            let mut out = BoolVec::unknown(n);
-            if v.is_some() {
-                for (k, &id) in ids.iter().enumerate() {
-                    if c.is_valid(id) {
-                        out.set(k, v);
+            if let Some(v) = mismatch_truth(*op) {
+                for k in 0..n {
+                    if c.is_valid(rows.id(k)) {
+                        out.set(k, Some(v));
                     }
                 }
             }
-            out
         }
         Spec::CmpIntCols { op, l, r } => {
-            let (cl, cr) = (&table.columns()[*l], &table.columns()[*r]);
-            let (dl, dr) = (
-                cl.ints().expect("typed by schema"),
-                cr.ints().expect("typed by schema"),
-            );
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                if cl.is_valid(id) && cr.is_valid(id) {
-                    out.set(k, Some(cmp_ord(*op, dl[id].cmp(&dr[id]))));
+            let (dl, dr) = (ints(table, *l), ints(table, *r));
+            for k in 0..n {
+                let id = rows.id(k);
+                if let (Some(a), Some(b)) = (dl.get(id), dr.get(id)) {
+                    out.set(k, Some(cmp_ord(*op, a.cmp(b))));
                 }
             }
-            out
         }
         Spec::CmpTextCols { op, l, r } => {
-            let (cl, cr) = (&table.columns()[*l], &table.columns()[*r]);
-            let (dl, dr) = (
-                cl.texts().expect("typed by schema"),
-                cr.texts().expect("typed by schema"),
-            );
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                if cl.is_valid(id) && cr.is_valid(id) {
-                    out.set(k, Some(cmp_ord(*op, dl[id].cmp(&dr[id]))));
+            let (dl, dr) = (texts(table, *l), texts(table, *r));
+            for k in 0..n {
+                let id = rows.id(k);
+                if let (Some(a), Some(b)) = (dl.get(id), dr.get(id)) {
+                    out.set(k, Some(cmp_ord(*op, a.cmp(b))));
                 }
             }
-            out
         }
         Spec::CmpMismatchCols { op, l, r } => {
             let (cl, cr) = (&table.columns()[*l], &table.columns()[*r]);
-            let v = match op {
-                CompareOp::Eq => Some(false),
-                CompareOp::Neq => Some(true),
-                _ => None,
-            };
-            let mut out = BoolVec::unknown(n);
-            if v.is_some() {
-                for (k, &id) in ids.iter().enumerate() {
+            if let Some(v) = mismatch_truth(*op) {
+                for k in 0..n {
+                    let id = rows.id(k);
                     if cl.is_valid(id) && cr.is_valid(id) {
-                        out.set(k, v);
+                        out.set(k, Some(v));
                     }
                 }
             }
-            out
         }
         Spec::IsNull { col, negated } => {
             let c = &table.columns()[*col];
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                out.set(k, Some(c.is_valid(id) == *negated));
+            for k in 0..n {
+                out.set(k, Some(c.is_valid(rows.id(k)) == *negated));
             }
-            out
         }
         Spec::InInt {
             col,
@@ -1208,82 +1217,64 @@ fn eval(spec: &Spec<'_>, table: &Table, ids: &[usize], prof: Option<&Collector>)
             has_null_items,
             has_any_items,
             negated,
-        } => {
-            let c = &table.columns()[*col];
-            let data = c.ints().expect("typed by schema");
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                let base = if c.is_valid(id) {
-                    if values.binary_search(&data[id]).is_ok() {
-                        Some(true)
-                    } else if *has_null_items {
-                        None
-                    } else {
-                        Some(false)
-                    }
-                } else if *has_any_items {
-                    None
-                } else {
-                    Some(false)
-                };
-                out.set(k, if *negated { base.map(|b| !b) } else { base });
-            }
-            out
-        }
+        } => ints(table, *col).each(rows, |k, v| {
+            let hit = v.map(|v| values.binary_search(v).is_ok());
+            let base = in_truth(hit, *has_null_items, *has_any_items);
+            out.set(k, if *negated { base.map(|b| !b) } else { base });
+        }),
         Spec::InText {
             col,
             values,
             has_null_items,
             has_any_items,
             negated,
-        } => {
-            let c = &table.columns()[*col];
-            let data = c.texts().expect("typed by schema");
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                let base = if c.is_valid(id) {
-                    let s = data[id].as_str();
-                    if values.binary_search_by(|v| v.as_str().cmp(s)).is_ok() {
-                        Some(true)
-                    } else if *has_null_items {
-                        None
-                    } else {
-                        Some(false)
-                    }
-                } else if *has_any_items {
-                    None
-                } else {
-                    Some(false)
-                };
-                out.set(k, if *negated { base.map(|b| !b) } else { base });
-            }
-            out
-        }
+        } => texts(table, *col).each(rows, |k, v| {
+            let hit = v.map(|s| values.binary_search_by(|v| v.as_str().cmp(s)).is_ok());
+            let base = in_truth(hit, *has_null_items, *has_any_items);
+            out.set(k, if *negated { base.map(|b| !b) } else { base });
+        }),
         Spec::Like {
             col,
             text,
             pattern_in_column,
             negated,
-        } => {
-            let c = &table.columns()[*col];
-            let data = c.texts().expect("typed by schema");
-            let mut out = BoolVec::unknown(n);
-            for (k, &id) in ids.iter().enumerate() {
-                if c.is_valid(id) {
-                    let hit = if *pattern_in_column {
-                        like_match(&data[id], text)
-                    } else {
-                        like_match(text, &data[id])
-                    };
-                    out.set(k, Some(hit != *negated));
-                }
+        } => texts(table, *col).each(rows, |k, v| {
+            if let Some(v) = v {
+                let hit = if *pattern_in_column {
+                    like_match(v, text)
+                } else {
+                    like_match(text, v)
+                };
+                out.set(k, Some(hit != *negated));
             }
-            out
+        }),
+        Spec::Const(_) | Spec::Not(_) | Spec::And(..) | Spec::Or(..) | Spec::Exists(_) => {
+            unreachable!("eval handles constants and combinators")
         }
-        Spec::Not(a) => eval(a, table, ids, prof).not(),
-        Spec::And(a, b) => eval(a, table, ids, prof).and(&eval(b, table, ids, prof)),
-        Spec::Or(a, b) => eval(a, table, ids, prof).or(&eval(b, table, ids, prof)),
-        Spec::Exists(ek) => eval_exists(ek, table, ids, prof),
+    }
+    out
+}
+
+/// A column compared to a non-NULL value of the other type: `=` is
+/// false, `<>` true, ordered comparisons unknown.
+fn mismatch_truth(op: CompareOp) -> Option<bool> {
+    match op {
+        CompareOp::Eq => Some(false),
+        CompareOp::Neq => Some(true),
+        _ => None,
+    }
+}
+
+/// `x IN (…)` before negation, from whether a non-NULL `x` is among the
+/// values (`None` for a NULL `x`): a miss is unknown when the list
+/// holds a NULL, and a NULL `x` is unknown unless the list is empty.
+fn in_truth(hit: Option<bool>, has_null_items: bool, has_any_items: bool) -> Option<bool> {
+    match hit {
+        Some(true) => Some(true),
+        Some(false) if has_null_items => None,
+        Some(false) => Some(false),
+        None if has_any_items => None,
+        None => Some(false),
     }
 }
 
@@ -1293,74 +1284,43 @@ fn eval(spec: &Spec<'_>, table: &Table, ids: &[usize], prof: Option<&Collector>)
 fn eval_exists(
     ek: &ExistsSpec<'_>,
     table: &Table,
-    ids: &[usize],
+    rows: Rows<'_>,
     prof: Option<&Collector>,
 ) -> BoolVec {
     let set = ek.set.as_ref().expect("sets built before eval");
+    let n = rows.len();
     exec::bump(|s| {
-        s.subqueries += ids.len() as u64;
-        s.exists_probes += ids.len() as u64;
+        s.subqueries += n as u64;
+        s.exists_probes += n as u64;
     });
     let addr = ek.node as *const SelectStmt as usize;
     let start = prof.map(|p| p.enter(addr, "Exists"));
-    let mut out = BoolVec::unknown(ids.len());
+    let mut out = BoolVec::unknown(n);
     let mut hits = 0u64;
-    match set {
-        KeySet::Int(s) => {
-            let c = &table.columns()[ek.probe_cols[0]];
-            match c.ints() {
-                Some(data) => {
-                    for (k, &id) in ids.iter().enumerate() {
-                        let hit = c.is_valid(id) && s.contains(&data[id]);
-                        hits += hit as u64;
-                        out.set(k, Some(hit));
-                    }
-                }
-                None => {
-                    for k in 0..ids.len() {
-                        out.set(k, Some(false));
-                    }
-                }
+    let mut record = |k: usize, hit: bool| {
+        hits += hit as u64;
+        out.set(k, Some(hit));
+    };
+    let probe = &table.columns()[ek.probe_cols[0]];
+    match (set, probe.ints(), probe.texts()) {
+        (KeySet::Int(s), Some(data), _) => {
+            data.each(rows, |k, v| record(k, v.is_some_and(|v| s.contains(v))))
+        }
+        (KeySet::Text(s), _, Some(data)) => {
+            data.each(rows, |k, v| record(k, v.is_some_and(|v| s.contains(v))))
+        }
+        (KeySet::Multi(s), _, _) => {
+            let cells = gather(table, &ek.probe_cols, rows);
+            let mut key = Vec::with_capacity(ek.probe_cols.len());
+            for k in 0..n {
+                record(k, tuple_into(&cells, k, &mut key) && s.contains(&key));
             }
         }
-        KeySet::Text(s) => {
-            let c = &table.columns()[ek.probe_cols[0]];
-            match c.texts() {
-                Some(data) => {
-                    for (k, &id) in ids.iter().enumerate() {
-                        let hit = c.is_valid(id) && s.contains(data[id].as_str());
-                        hits += hit as u64;
-                        out.set(k, Some(hit));
-                    }
-                }
-                None => {
-                    for k in 0..ids.len() {
-                        out.set(k, Some(false));
-                    }
-                }
-            }
-        }
-        KeySet::Multi(s) => {
-            let mut key: Vec<Value> = Vec::with_capacity(ek.probe_cols.len());
-            for (k, &id) in ids.iter().enumerate() {
-                key.clear();
-                let mut null = false;
-                for &pc in &ek.probe_cols {
-                    let v = table.value(id, pc);
-                    if v.is_null() {
-                        null = true;
-                        break;
-                    }
-                    key.push(v);
-                }
-                let hit = !null && s.contains(&key);
-                hits += hit as u64;
-                out.set(k, Some(hit));
-            }
-        }
+        // A probe column of the other type never matches.
+        _ => (0..n).for_each(|k| record(k, false)),
     }
     if let Some(p) = prof {
-        for _ in 0..ids.len() {
+        for _ in 0..n {
             p.note_exists(ExistsStrategy::SetProbe);
         }
         p.exit(addr, start.expect("profiling on"), hits);

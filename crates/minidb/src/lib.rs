@@ -25,8 +25,11 @@
 //! queries) become index probes. [`Database::set_use_indexes`] turns
 //! this off for the suite's index-ablation bench.
 //!
-//! Tables are stored as typed column vectors with validity bitmaps
-//! ([`table`]), and eligible single-table SELECTs run through a
+//! Tables are stored as typed columns in chunks of 1024 rows, each
+//! chunk with its own validity bitmap and each shared copy-on-write,
+//! with hash indexes kept in persistent hash tries ([`pmap`]), so a
+//! snapshot's writer copies what it changes, not the table
+//! ([`table`]). Eligible single-table SELECTs run through a
 //! columnar batch-at-a-time executor ([`columnar`]): predicates
 //! compile to kernels evaluated over batches of 1024 row ids with
 //! packed three-valued selection vectors, falling back to the
@@ -63,6 +66,7 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod plan;
+pub mod pmap;
 pub mod profile;
 pub mod schema;
 pub mod sql;
@@ -75,5 +79,5 @@ pub use explain::{explain, explain_analyze};
 pub use plan::{JoinOp, JoinPlan, JoinPlanCache, PlanCacheStats, Prepared, PLAN_DRIFT_FACTOR};
 pub use profile::{Profile, ProfileNode, OP_KINDS};
 pub use schema::{ColumnDef, DataType, ForeignKey, TableSchema};
-pub use table::{IndexStats, TableStats};
+pub use table::{IndexStats, TableStats, Unshared};
 pub use value::Value;

@@ -76,6 +76,14 @@ impl<'a> Parser<'a> {
         ParseError::new(self.position(), msg)
     }
 
+    /// Expand the references in `raw`, which ends at the current
+    /// position. The position is computed only for an error: it counts
+    /// lines from the start of the input, so computing it for every
+    /// attribute and text node made each parse quadratic.
+    fn unescape<'s>(&self, raw: &'s str) -> Result<std::borrow::Cow<'s, str>, ParseError> {
+        unescape(raw, Position::START).map_err(|e| ParseError::new(self.position(), e.message))
+    }
+
     fn skip_bom(&mut self) {
         if self.rest().starts_with('\u{feff}') {
             self.pos += '\u{feff}'.len_utf8();
@@ -216,7 +224,7 @@ impl<'a> Parser<'a> {
         }
         let raw = &self.input[start..self.pos];
         self.pos += 1; // closing quote
-        let value = unescape(raw, self.position())?.into_owned();
+        let value = self.unescape(raw)?.into_owned();
         Ok(Attribute { name, value })
     }
 
@@ -296,7 +304,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 let raw = &self.input[start..self.pos];
-                let text = unescape(raw, self.position())?.into_owned();
+                let text = self.unescape(raw)?.into_owned();
                 if !text.trim().is_empty() {
                     push_text(elem, text);
                 }
