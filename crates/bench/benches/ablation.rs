@@ -7,6 +7,7 @@
 
 use p3p_appel::engine::{AppelEngine, EngineOptions};
 use p3p_bench::{fmt_duration, setup_server, Sample};
+use p3p_minidb::ExecOptions;
 use p3p_server::{EngineKind, Target};
 use p3p_workload::{corpus, Sensitivity};
 use std::time::Instant;
@@ -75,7 +76,10 @@ fn main() {
     });
 
     let mut without_indexes = setup_server(p3p_bench::DEFAULT_SEED);
-    without_indexes.database_mut().set_use_indexes(false);
+    without_indexes.database_mut().set_options(ExecOptions {
+        indexes: false,
+        ..ExecOptions::default()
+    });
     bench("pure_nested_loop", 20, || {
         for name in names.iter().take(5) {
             without_indexes

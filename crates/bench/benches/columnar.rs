@@ -1,7 +1,7 @@
 //! Bench for the columnar batch executor: the optimized-SQL corpus
 //! sweep and a synthetic single-table scan, each timed with columnar
-//! kernels engaged vs the row-at-a-time interpreter
-//! (`exec::set_columnar`).
+//! kernels engaged vs the row-at-a-time interpreter (a clone with
+//! `ExecOptions::columnar` off).
 //!
 //! Like the other benches this is a plain timing harness
 //! (`harness = false`); pass `--test` for a single-iteration smoke
@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use p3p_bench::DEFAULT_SEED;
-use p3p_minidb::{exec, Database};
+use p3p_minidb::{Database, ExecOptions};
 use p3p_server::{EngineKind, PolicyServer};
 use p3p_workload::{corpus_n, Sensitivity};
 
@@ -26,13 +26,9 @@ fn best_of(runs: u32, mut f: impl FnMut()) -> Duration {
     best
 }
 
-/// Time `f` under both executors, asserting the knob is restored.
-fn both(runs: u32, mut f: impl FnMut()) -> (Duration, Duration) {
-    let columnar = best_of(runs, &mut f);
-    exec::set_columnar(false);
-    let row = best_of(runs, &mut f);
-    exec::set_columnar(true);
-    (columnar, row)
+/// Time `f` over the columnar target and over its row-engine clone.
+fn both<T>(runs: u32, columnar: &T, row: &T, f: impl Fn(&T)) -> (Duration, Duration) {
+    (best_of(runs, || f(columnar)), best_of(runs, || f(row)))
 }
 
 fn fmt(d: Duration) -> String {
@@ -60,12 +56,20 @@ fn main() {
             .match_corpus(&ruleset, EngineKind::Sql)
             .expect("bulk sweep succeeds")
     };
+    let row_options = ExecOptions {
+        columnar: false,
+        ..ExecOptions::default()
+    };
+    let mut row_server = server.clone_state();
+    row_server.database_mut().set_options(row_options);
     let baseline = sweep(&server);
-    exec::set_columnar(false);
-    assert_eq!(baseline, sweep(&server), "executors disagree on verdicts");
-    exec::set_columnar(true);
-    let (columnar, row) = both(runs, || {
-        sweep(&server);
+    assert_eq!(
+        baseline,
+        sweep(&row_server),
+        "executors disagree on verdicts"
+    );
+    let (columnar, row) = both(runs, &server, &row_server, |s| {
+        sweep(s);
     });
     println!(
         "corpus sweep ({n} policies):  columnar {}  row {}  ({:.1}x)",
@@ -96,16 +100,16 @@ fn main() {
     let sql = "SELECT DISTINCT tag FROM t t \
                WHERE t.id >= 100 AND t.tag LIKE 'tag%' \
                AND t.tag IN ('tag1', 'tag2', 'tag3', 'tag5', 'tag8', 'tag13')";
+    let mut row_db = db.clone();
+    row_db.set_options(row_options);
     let expected = db.query(sql).unwrap();
-    exec::set_columnar(false);
     assert_eq!(
         expected,
-        db.query(sql).unwrap(),
+        row_db.query(sql).unwrap(),
         "executors disagree on rows"
     );
-    exec::set_columnar(true);
-    let (columnar, row) = both(runs, || {
-        db.query(sql).unwrap();
+    let (columnar, row) = both(runs, &db, &row_db, |d| {
+        d.query(sql).unwrap();
     });
     println!(
         "synthetic scan ({scan_rows} rows): columnar {}  row {}  ({:.1}x)",

@@ -11,6 +11,10 @@
 //! repro --trace-out trace.json # Chrome trace of a sharded corpus sweep
 //! ```
 //!
+//! Tables with a committed `BENCH_<table>.json` baseline write their
+//! fresh run to `target/bench/BENCH_<table>.json`; the baseline at the
+//! repository root changes only when someone copies a run over it.
+//!
 //! Every run ends with a telemetry snapshot of the metrics the
 //! pipeline recorded while the experiments ran (per-engine match
 //! latency histograms, executor counters, shred timings), printed as
@@ -107,12 +111,7 @@ fn main() {
     if all || tables.iter().any(|t| t == "caching") {
         let report = caching_report(seed);
         println!("{}", caching_table(&report));
-        let json = bench_matching_json(seed, &report);
-        let path = std::path::Path::new("BENCH_matching.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("matching", &bench_matching_json(seed, &report));
         let speedup = report.optimized_sql_convert_speedup();
         if speedup < 5.0 {
             eprintln!(
@@ -135,12 +134,7 @@ fn main() {
     if all || tables.iter().any(|t| t == "bulk") {
         let report = bulk_report(seed, 120, 5);
         println!("{}", bulk_table(&report));
-        let json = bench_bulk_json(&report);
-        let path = std::path::Path::new("BENCH_bulk.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("bulk", &bench_bulk_json(&report));
         match report
             .rows
             .iter()
@@ -216,12 +210,7 @@ fn main() {
     if all || tables.iter().any(|t| t == "join") {
         let report = join_report(seed, 120, 5);
         println!("{}", join_table(&report));
-        let json = bench_join_json(&report);
-        let path = std::path::Path::new("BENCH_join.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("join", &bench_join_json(&report));
         let speedup = report.overall_speedup();
         if speedup < 3.0 {
             eprintln!(
@@ -242,12 +231,7 @@ fn main() {
             .unwrap_or(50);
         let report = fuzz_report(seed, cases);
         println!("{}", fuzz_table(&report));
-        let json = bench_fuzz_json(&report);
-        let path = std::path::Path::new("BENCH_fuzz.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("fuzz", &bench_fuzz_json(&report));
         if report.stats.divergences > 0 {
             eprintln!(
                 "error: {} verdict divergences across the engine matrix (must be 0)",
@@ -273,12 +257,7 @@ fn main() {
             .unwrap_or(5000);
         let report = churn_report(seed, ops, 0.01);
         println!("{}", churn_table(&report));
-        let json = bench_churn_json(&report);
-        let path = std::path::Path::new("BENCH_churn.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("churn", &bench_churn_json(&report));
         let hit_rate = report.hit_rate();
         if hit_rate < 0.8 {
             eprintln!(
@@ -299,12 +278,7 @@ fn main() {
     if all || tables.iter().any(|t| t == "profile") {
         let report = profile_report(seed, 5);
         println!("{}", profile_table(&report));
-        let json = bench_profile_json(&report);
-        let path = std::path::Path::new("BENCH_profile.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("profile", &bench_profile_json(&report));
         // The gate is A/A: profiler compiled in but OFF must be within
         // noise of the baseline. Profiler-on cost is informational.
         let off = report.off_overhead();
@@ -333,12 +307,7 @@ fn main() {
             .unwrap_or(5);
         let report = serve_report(seed, policies, secs);
         println!("{}", serve_table(&report));
-        let json = bench_serve_json(&report);
-        let path = std::path::Path::new("BENCH_serve.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("serve", &bench_serve_json(&report));
         if !report.qps_floor_met() {
             eprintln!(
                 "error: closed-loop sustained throughput {:.0} qps is below the {:.0} floor",
@@ -373,12 +342,7 @@ fn main() {
         println!("{}", scaling_table(&rows));
         let served = served_install_rows(seed, &SERVED_INSTALL_SIZES, SERVED_INSTALLS);
         println!("{}", served_install_table(&served));
-        let json = bench_scaling_json(seed, &rows, &served);
-        let path = std::path::Path::new("BENCH_scaling.json");
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
-        }
+        write_bench("scaling", &bench_scaling_json(seed, &rows, &served));
         // Row counts are exact for a fixed seed, so the gate needs no
         // noise band: a point match must not read more of a larger
         // corpus.
@@ -431,6 +395,19 @@ fn main() {
         || !scaling_ok
     {
         std::process::exit(1);
+    }
+}
+
+/// Write one table's JSON to `target/bench/BENCH_<table>.json`, under
+/// `target/` where the metrics snapshot lands by default. A run never
+/// replaces the committed baseline at the repository root; committing
+/// a new baseline is a `cp`.
+fn write_bench(table: &str, json: &str) {
+    let dir = std::path::Path::new("target/bench");
+    let path = dir.join(format!("BENCH_{table}.json"));
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("wrote {}\n", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}\n", path.display()),
     }
 }
 

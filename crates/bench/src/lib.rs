@@ -21,6 +21,7 @@
 
 use p3p_appel::engine::{AppelEngine, EngineOptions};
 use p3p_appel::model::Ruleset;
+use p3p_minidb::ExecOptions;
 use p3p_policy::model::Policy;
 use p3p_policy::reference::{PolicyRef, ReferenceFile};
 use p3p_server::concurrent::{MatchPool, SharedServer};
@@ -738,13 +739,18 @@ pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
     let shared = SharedServer::new(server);
     let pool = MatchPool::new(&shared);
     let snapshot = shared.snapshot();
+    let mut row_engine = snapshot.clone_state();
+    row_engine.database_mut().set_options(ExecOptions {
+        columnar: false,
+        ..ExecOptions::default()
+    });
     let names = snapshot.policy_names();
     let ruleset = Sensitivity::High.ruleset();
     let shards = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let mut rows = Vec::new();
-    // The columnar knob only changes behavior where matching executes
+    // The columnar option only changes behavior where matching executes
     // minidb SQL; the tree-walking engines would time the same code
     // twice.
     let sql_backed = |engine: EngineKind| {
@@ -785,11 +791,8 @@ pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
                     let t = Instant::now();
                     snapshot.match_corpus(&ruleset, engine)?;
                     best_col = best_col.min(t.elapsed());
-                    p3p_minidb::exec::set_columnar(false);
                     let t = Instant::now();
-                    let swept = snapshot.match_corpus(&ruleset, engine);
-                    p3p_minidb::exec::set_columnar(true);
-                    swept?;
+                    row_engine.match_corpus(&ruleset, engine)?;
                     best_row = best_row.min(t.elapsed());
                 }
                 (Some(best_col), Some(best_row))
@@ -982,7 +985,10 @@ pub fn join_report(seed: u64, n: usize, runs: u32) -> JoinReport {
     }
     let planned_db = server.database().clone();
     let mut from_order_db = planned_db.clone();
-    from_order_db.set_use_planner(false);
+    from_order_db.set_options(ExecOptions {
+        planner: false,
+        ..planned_db.options()
+    });
 
     let cases: [(&str, String); 3] = [
         (
@@ -1097,6 +1103,7 @@ pub fn bench_join_json(report: &JoinReport) -> String {
     out.push_str("{\n");
     out.push_str(&format!("  \"seed\": {},\n", report.seed));
     out.push_str(&format!("  \"policies\": {},\n", report.policies));
+    out.push_str(&provenance_json());
     out.push_str("  \"queries\": [\n");
     for (i, row) in report.rows.iter().enumerate() {
         out.push_str(&format!(
@@ -1275,6 +1282,12 @@ pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<ScalingRow> {
             file.policy_refs.push(r);
         }
         server.install_reference(&file).expect("reference installs");
+        // The same corpus under the forced count rule at 8.
+        let mut count_rule_server = server.clone_state();
+        count_rule_server.database_mut().set_options(ExecOptions {
+            decorrelate_after: Some(8),
+            ..ExecOptions::default()
+        });
         // Sample ten policies spread across the corpus.
         let names = server.policy_names();
         let sample: Vec<&String> = names.iter().step_by((names.len() / 10).max(1)).collect();
@@ -1292,14 +1305,11 @@ pub fn scaling_rows(seed: u64, sizes: &[usize]) -> Vec<ScalingRow> {
             sql.push(t.elapsed());
             rows_scanned += outcome.db_stats.rows_scanned;
             exists_builds += outcome.db_stats.exists_builds;
-            // The verdict cache keys on the override, so this re-runs
-            // the query rather than answering from the match above.
-            p3p_minidb::exec::set_decorrelate_after(Some(8));
             let t = Instant::now();
-            let outcome = server.match_preference(&ruleset, Target::Policy(name), EngineKind::Sql);
+            let outcome = count_rule_server
+                .match_preference(&ruleset, Target::Policy(name), EngineKind::Sql)
+                .expect("sql match under the count rule");
             count_rule.push(t.elapsed());
-            p3p_minidb::exec::set_decorrelate_after(None);
-            let outcome = outcome.expect("sql match under the count rule");
             count_rule_rows += outcome.db_stats.rows_scanned;
             count_rule_builds += outcome.db_stats.exists_builds;
             let t = Instant::now();
@@ -2008,7 +2018,7 @@ impl ProfileReport {
 /// profiling on, and read the per-operator breakdown the profiled
 /// passes fed into the `p3p_op_*` histograms.
 pub fn profile_report(seed: u64, runs: u32) -> ProfileReport {
-    let server = setup_server(seed);
+    let mut server = setup_server(seed);
     let names = server.policy_names();
     let ruleset = Sensitivity::High.ruleset();
     // Warm the translation and plan caches so every timed pass is
@@ -2017,9 +2027,9 @@ pub fn profile_report(seed: u64, runs: u32) -> ProfileReport {
         .match_corpus(&ruleset, EngineKind::Sql)
         .expect("warm-up corpus sweep");
 
-    let sweep = || server.match_corpus(&ruleset, EngineKind::Sql).map(|_| ());
-    let baseline = best_of(runs, sweep).expect("baseline sweep");
-    let off_recheck = best_of(runs, sweep).expect("profiler-off recheck");
+    let sweep = |s: &PolicyServer| s.match_corpus(&ruleset, EngineKind::Sql).map(|_| ());
+    let baseline = best_of(runs, || sweep(&server)).expect("baseline sweep");
+    let off_recheck = best_of(runs, || sweep(&server)).expect("profiler-off recheck");
 
     // Snapshot the histograms, then run profiled: the breakdown is the
     // delta, untouched by whatever ran earlier in this process.
@@ -2032,8 +2042,11 @@ pub fn profile_report(seed: u64, runs: u32) -> ProfileReport {
         })
         .collect();
 
-    p3p_minidb::exec::set_profiling(true);
-    let profiled = best_of(runs, sweep).expect("profiled sweep");
+    server.database_mut().set_options(ExecOptions {
+        profile: true,
+        ..ExecOptions::default()
+    });
+    let profiled = best_of(runs, || sweep(&server)).expect("profiled sweep");
     // Sample a few per-policy matches so the analyzed plans attached to
     // match outcomes are exercised too.
     let mut analyzed_plans = 0;
@@ -2044,7 +2057,6 @@ pub fn profile_report(seed: u64, runs: u32) -> ProfileReport {
             analyzed_plans += outcome.analyzed.len();
         }
     }
-    p3p_minidb::exec::set_profiling(false);
 
     let ops = p3p_minidb::OP_KINDS
         .iter()
@@ -2119,6 +2131,7 @@ pub fn bench_profile_json(report: &ProfileReport) -> String {
         "  \"analyzed_plans\": {},\n",
         report.analyzed_plans
     ));
+    out.push_str(&provenance_json());
     out.push_str("  \"ops\": [\n");
     for (i, row) in report.ops.iter().enumerate() {
         out.push_str(&format!(

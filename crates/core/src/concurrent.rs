@@ -16,6 +16,7 @@ use crate::error::ServerError;
 use crate::server::{EngineKind, MatchOutcome, PolicyServer, Target};
 use p3p_appel::engine::Verdict;
 use p3p_appel::model::Ruleset;
+use p3p_minidb::exec;
 use p3p_policy::model::Policy;
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
@@ -136,8 +137,13 @@ impl MatchPool {
     /// thread: their sweep is O(rules) corpus queries whose decorrelated
     /// EXISTS builds hash corpus-wide tables whatever a shard's
     /// `IN (…)` list, so every shard would repeat nearly the whole
-    /// sweep. Running on the caller also keeps the caller's executor
-    /// knobs and leaves the sweep's `ExecStats` on the caller's thread.
+    /// sweep.
+    ///
+    /// Every shard runs under the snapshot's
+    /// [`ExecOptions`](p3p_minidb::ExecOptions), which it inherited from
+    /// the primary's database, and the shards' `ExecStats` are summed
+    /// into the calling thread's, so `exec::stats_snapshot()` after the
+    /// call covers the whole sweep however it was split.
     pub fn match_corpus(
         &self,
         ruleset: &Ruleset,
@@ -172,32 +178,31 @@ impl MatchPool {
         }
         let chunk = names.len().div_ceil(shards);
         let _sweep = p3p_telemetry::span!("sharded_sweep", engine = engine.metric_label());
-        let results: Vec<Result<Vec<(String, Verdict)>, ServerError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = names
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(i, part)| {
-                        let snapshot = &snapshot;
-                        let ruleset = &ruleset;
-                        scope.spawn(move || {
-                            let _shard = p3p_telemetry::span!(
-                                "corpus_shard",
-                                shard = i,
-                                policies = part.len()
-                            );
-                            snapshot.match_corpus_subset(ruleset, engine, Some(part))
-                        })
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = names
+                .chunks(chunk)
+                .enumerate()
+                .map(|(i, part)| {
+                    let snapshot = &snapshot;
+                    let ruleset = &ruleset;
+                    scope.spawn(move || {
+                        let _shard =
+                            p3p_telemetry::span!("corpus_shard", shard = i, policies = part.len());
+                        let verdicts = snapshot.match_corpus_subset(ruleset, engine, Some(part));
+                        (verdicts, exec::stats_snapshot())
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus shard thread panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus shard thread panicked"))
+                .collect()
+        });
+        exec::reset_stats();
         let mut out = Vec::with_capacity(names.len());
-        for shard in results {
-            out.extend(shard?);
+        for (verdicts, stats) in results {
+            exec::add_stats(&stats);
+            out.extend(verdicts?);
         }
         Ok((epoch, out))
     }
@@ -207,6 +212,7 @@ impl MatchPool {
 mod tests {
     use super::*;
     use p3p_appel::model::{jane_preference, Behavior};
+    use p3p_minidb::ExecOptions;
     use p3p_policy::model::volga_policy;
     use p3p_workload::Sensitivity;
 
@@ -287,32 +293,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sql_sweeps_run_on_the_calling_thread_under_its_knobs() {
-        use p3p_minidb::exec;
+    /// A pool over `corpus(42)` whose primary runs under `options`.
+    fn pool_under(options: ExecOptions) -> (SharedServer, MatchPool) {
         let shared = SharedServer::new(PolicyServer::new());
         for p in p3p_workload::corpus(42) {
             shared.install_policy(&p).unwrap();
         }
+        shared.with(|s| s.database_mut().set_options(options));
         let pool = MatchPool::new(&shared);
+        (shared, pool)
+    }
+
+    #[test]
+    fn sql_sweeps_run_once_under_the_snapshots_options() {
+        // The row engine, with every correlated EXISTS decorrelated.
+        let (shared, pool) = pool_under(ExecOptions {
+            columnar: false,
+            decorrelate_after: Some(0),
+            ..ExecOptions::default()
+        });
         let snapshot = shared.snapshot();
         let ruleset = Sensitivity::High.ruleset();
-        // Thread-local knobs a spawned shard thread would not inherit:
-        // the row engine, with every correlated EXISTS decorrelated.
-        exec::set_columnar(false);
-        exec::set_decorrelate_after(Some(0));
         // Warm both sides' caches so the measured sweeps do equal work.
         pool.match_corpus(&ruleset, EngineKind::Sql, 1).unwrap();
         snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
         snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
         let single = exec::stats_snapshot();
-        exec::reset_stats();
         pool.match_corpus(&ruleset, EngineKind::Sql, 4).unwrap();
         let pooled = exec::stats_snapshot();
-        exec::set_columnar(true);
-        exec::set_decorrelate_after(None);
         assert!(single.exists_builds > 0, "{single:?}");
         assert_eq!(pooled, single);
+    }
+
+    #[test]
+    fn sharded_sweeps_run_under_the_pools_options_and_report_every_shard() {
+        let ruleset = Sensitivity::High.ruleset();
+        // (a) pins the correlated nested loop, so no shard may build a
+        // set; (b) decorrelates every EXISTS, which the columnar kernels
+        // would otherwise answer, on the row engine.
+        let nested_loop = ExecOptions {
+            decorrelate_after: Some(u32::MAX),
+            ..ExecOptions::default()
+        };
+        let row_engine_sets = ExecOptions {
+            decorrelate_after: Some(0),
+            columnar: false,
+            ..ExecOptions::default()
+        };
+        for (options, builds_sets) in [(nested_loop, false), (row_engine_sets, true)] {
+            let (_shared, pool) = pool_under(options);
+            // Rows read and output are left out: each extra shard stages
+            // its first policy into a fresh fork, which reads one row
+            // fewer than restaging the previous policy's.
+            let work = |shards| {
+                exec::reset_stats();
+                pool.match_corpus(&ruleset, EngineKind::XQueryXTable, shards)
+                    .unwrap();
+                let s = exec::stats_snapshot();
+                [
+                    s.subqueries,
+                    s.index_probes,
+                    s.seq_scans,
+                    s.exists_builds,
+                    s.exists_probes,
+                ]
+            };
+            let one = work(1);
+            assert_eq!(work(3), one, "{options:?}");
+            assert_eq!(one[3] > 0, builds_sets, "{options:?}: {one:?}");
+        }
     }
 
     #[test]

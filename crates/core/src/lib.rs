@@ -37,8 +37,8 @@
 //!   system").
 //! * [`verdict_cache`] — memoized verdicts under live policy churn:
 //!   a sharded LRU keyed by (preference fingerprint × policy id ×
-//!   policy version × engine × knobs), invalidated precisely when a
-//!   policy is re-shredded or removed.
+//!   policy version × engine × execution options), invalidated
+//!   precisely when a policy is re-shredded or removed.
 //!
 //! ## Quick example
 //!

@@ -32,7 +32,7 @@ use crate::verdict_cache::{self, VerdictCache, VerdictKey};
 use crate::view;
 use crate::xtable::XTable;
 use p3p_appel::engine::{AppelEngine, Verdict};
-use p3p_appel::model::Ruleset;
+use p3p_appel::model::{Rule, Ruleset};
 use p3p_minidb::pmap::PMap;
 use p3p_minidb::{Database, Value};
 use p3p_policy::augment::augment_policy;
@@ -122,8 +122,9 @@ pub struct MatchOutcome {
     pub db_stats: p3p_minidb::exec::ExecStats,
     /// Rendered `EXPLAIN ANALYZE` tree of each rule query executed, in
     /// execution order. Populated by the SQL engines only when the
-    /// thread runs with profiling enabled
-    /// ([`p3p_minidb::exec::set_profiling`]); empty otherwise.
+    /// server's database runs with
+    /// [`ExecOptions::profile`](p3p_minidb::ExecOptions::profile) on;
+    /// empty otherwise.
     pub analyzed: Vec<String>,
     /// True when the verdict itself came from the memoized verdict
     /// cache — no engine ran and no minidb query executed; `convert`
@@ -133,6 +134,32 @@ pub struct MatchOutcome {
     /// The catalog epoch this verdict was computed under. Two outcomes
     /// with the same epoch saw the identical installed-policy catalog.
     pub epoch: u64,
+}
+
+impl MatchOutcome {
+    /// An outcome the engine (or the verdict cache) produced. `db_stats`
+    /// and `epoch` are placeholders that
+    /// [`PolicyServer::match_preference_snapshot`] fills in.
+    fn computed(verdict: Verdict, convert: Duration, query: Duration, cached: bool) -> Self {
+        MatchOutcome {
+            verdict,
+            convert,
+            query,
+            cached,
+            db_stats: Default::default(),
+            analyzed: Vec::new(),
+            verdict_cached: false,
+            epoch: 0,
+        }
+    }
+}
+
+/// The verdict of rule `index` firing.
+fn fired(rule: &Rule, index: usize) -> Verdict {
+    Verdict {
+        behavior: rule.behavior.clone(),
+        fired_rule: Some(index),
+    }
 }
 
 /// One installed policy's catalog record.
@@ -192,7 +219,7 @@ pub struct PolicyServer {
     /// Ruleset-fingerprint → prepared plans. Shared across clones so
     /// concurrent snapshots warm the cache for each other.
     translations: TranslationCache,
-    /// (fingerprint × policy id × version × engine × knobs) → verdict.
+    /// (fingerprint × policy id × version × engine × options) → verdict.
     /// Shared across clones like the translation cache, but detached
     /// before any catalog mutation so forks never see each other's
     /// entries. Disabled (capacity 0) by default.
@@ -316,38 +343,24 @@ impl PolicyServer {
         verdict_cache::epoch_gauge().set(self.catalog_epoch as i64);
     }
 
-    /// The executor-knob word baked into every verdict-cache key, so a
-    /// knob A/B comparison can never be answered from the other arm's
-    /// memoized verdict. The decorrelation override is encoded as set
-    /// (`k + 1`) or unset (`0`), so the break-even default and a forced
-    /// count never share a key.
-    fn knob_word(&self) -> u64 {
-        let planner = self.db.use_planner() as u64;
-        let columnar = p3p_minidb::exec::columnar_enabled() as u64;
-        let decorrelate = p3p_minidb::exec::decorrelate_override().map_or(0, |k| u64::from(k) + 1);
-        planner | (columnar << 1) | (decorrelate << 2)
+    /// Whether matches consult the verdict cache: it is enabled, and the
+    /// database does not profile (a cache hit cannot produce the
+    /// `analyzed` plans profiling promises).
+    fn verdicts_apply(&self) -> bool {
+        self.verdicts.is_enabled() && !self.db.options().profile
     }
 
     /// The verdict-cache key for one (preference, policy, engine)
-    /// combination — or `None` when the cache must stay out of the way:
-    /// it is disabled, or the thread profiles execution (a cache hit
-    /// cannot produce the `analyzed` plans profiling promises).
-    fn verdict_key(
-        &self,
-        ruleset: &Ruleset,
-        policy_id: i64,
-        engine: EngineKind,
-    ) -> Option<VerdictKey> {
-        if !self.verdicts.is_enabled() || p3p_minidb::exec::profiling_enabled() {
-            return None;
-        }
-        Some(VerdictKey {
-            fingerprint: TranslationCache::fingerprint(ruleset),
+    /// combination under the database's options, so an A/B comparison
+    /// of options is never answered from the other arm's verdict.
+    fn verdict_key(&self, fingerprint: u64, policy_id: i64, engine: EngineKind) -> VerdictKey {
+        VerdictKey {
+            fingerprint,
             policy_id,
             policy_version: self.policy_version_by_id(policy_id),
             engine,
-            knobs: self.knob_word(),
-        })
+            options: self.db.options(),
+        }
     }
 
     /// Install a policy from its model. Returns the assigned id.
@@ -524,19 +537,16 @@ impl PolicyServer {
             let policy_id = self.resolve(target)?;
             // Memoized-verdict fast path: a hit answers without
             // translating or touching minidb at all.
-            let key = self.verdict_key(ruleset, policy_id, engine);
+            let key = self.verdicts_apply().then(|| {
+                let fingerprint = TranslationCache::fingerprint(ruleset);
+                self.verdict_key(fingerprint, policy_id, engine)
+            });
             if let Some(key) = &key {
                 let t0 = Instant::now();
                 if let Some(verdict) = self.verdicts.get(key) {
                     return Ok(MatchOutcome {
-                        verdict,
-                        convert: t0.elapsed(),
-                        query: Duration::ZERO,
-                        cached: false,
-                        db_stats: Default::default(),
-                        analyzed: Vec::new(),
                         verdict_cached: true,
-                        epoch: 0,
+                        ..MatchOutcome::computed(verdict, t0.elapsed(), Duration::ZERO, false)
                     });
                 }
             }
@@ -606,16 +616,12 @@ impl PolicyServer {
             let _span = span!("execute");
             self.native.evaluate_policy_xml(ruleset, xml)?
         };
-        Ok(MatchOutcome {
+        Ok(MatchOutcome::computed(
             verdict,
-            convert: Duration::ZERO,
-            query: start.elapsed(),
-            cached: false,
-            db_stats: Default::default(),
-            analyzed: Vec::new(),
-            verdict_cached: false,
-            epoch: 0,
-        })
+            Duration::ZERO,
+            start.elapsed(),
+            false,
+        ))
     }
 
     fn match_sql(
@@ -661,42 +667,26 @@ impl PolicyServer {
         // profile and leaves it behind, so each rule query's analyzed
         // plan can be retained on the outcome here.
         let mut analyzed: Vec<String> = Vec::new();
+        let mut verdict = Verdict::default_block();
         for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
             let _ctx = QueryContextGuard::rule(index as u64);
             let plan = plan
                 .as_ref()
                 .expect("SQL translation yields a plan per rule");
             let result = self.db.query_prepared(plan, &params)?;
-            if p3p_minidb::exec::profiling_enabled() {
+            if self.db.options().profile {
                 if let Some(profile) = p3p_minidb::exec::take_last_profile() {
                     analyzed.push(profile.render());
                 }
             }
             if !result.is_empty() {
-                return Ok(MatchOutcome {
-                    verdict: Verdict {
-                        behavior: rule.behavior.clone(),
-                        fired_rule: Some(index),
-                    },
-                    convert,
-                    query: t1.elapsed(),
-                    cached,
-                    db_stats: Default::default(),
-                    analyzed,
-                    verdict_cached: false,
-                    epoch: 0,
-                });
+                verdict = fired(rule, index);
+                break;
             }
         }
         Ok(MatchOutcome {
-            verdict: Verdict::default_block(),
-            convert,
-            query: t1.elapsed(),
-            cached,
-            db_stats: Default::default(),
             analyzed,
-            verdict_cached: false,
-            epoch: 0,
+            ..MatchOutcome::computed(verdict, convert, t1.elapsed(), cached)
         })
     }
 
@@ -749,38 +739,13 @@ impl PolicyServer {
         drop(translate_span);
         let _execute_span = span!("execute");
         let t1 = Instant::now();
-        for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
-            let _ctx = QueryContextGuard::rule(index as u64);
-            let fired = match plan {
-                Some(plan) => !db.query_prepared(plan, &[])?.is_empty(),
-                None => true,
-            };
-            if fired {
-                return Ok(MatchOutcome {
-                    verdict: Verdict {
-                        behavior: rule.behavior.clone(),
-                        fired_rule: Some(index),
-                    },
-                    convert,
-                    query: t1.elapsed(),
-                    cached,
-                    db_stats: Default::default(),
-                    analyzed: Vec::new(),
-                    verdict_cached: false,
-                    epoch: 0,
-                });
-            }
-        }
-        Ok(MatchOutcome {
-            verdict: Verdict::default_block(),
+        let verdict = staged_verdict(&db, ruleset, &plans)?;
+        Ok(MatchOutcome::computed(
+            verdict,
             convert,
-            query: t1.elapsed(),
+            t1.elapsed(),
             cached,
-            db_stats: Default::default(),
-            analyzed: Vec::new(),
-            verdict_cached: false,
-            epoch: 0,
-        })
+        ))
     }
 
     fn match_xquery_native(
@@ -796,60 +761,30 @@ impl PolicyServer {
             .explicit;
         let mut convert = Duration::ZERO;
         let mut query = Duration::ZERO;
+        let mut verdict = Verdict::default_block();
         for (index, rule) in ruleset.rules.iter().enumerate() {
-            if rule.pattern.is_empty() {
-                return Ok(MatchOutcome {
-                    verdict: Verdict {
-                        behavior: rule.behavior.clone(),
-                        fired_rule: Some(index),
-                    },
-                    convert,
-                    query,
-                    cached: false,
-                    db_stats: Default::default(),
-                    analyzed: Vec::new(),
-                    verdict_cached: false,
-                    epoch: 0,
-                });
+            // An unconditional (OTHERWISE) rule fires without a query.
+            if !rule.pattern.is_empty() {
+                let t0 = Instant::now();
+                let xq = {
+                    let _span = span!("translate", rule = index);
+                    translate_rule_xquery(rule, "applicable-policy")?
+                };
+                convert += t0.elapsed();
+                let t1 = Instant::now();
+                let hit = {
+                    let _span = span!("execute", rule = index);
+                    p3p_xquery::eval_xquery(&xq, doc).is_some()
+                };
+                query += t1.elapsed();
+                if !hit {
+                    continue;
+                }
             }
-            let t0 = Instant::now();
-            let xq = {
-                let _span = span!("translate", rule = index);
-                translate_rule_xquery(rule, "applicable-policy")?
-            };
-            convert += t0.elapsed();
-            let t1 = Instant::now();
-            let fired = {
-                let _span = span!("execute", rule = index);
-                p3p_xquery::eval_xquery(&xq, doc).is_some()
-            };
-            query += t1.elapsed();
-            if fired {
-                return Ok(MatchOutcome {
-                    verdict: Verdict {
-                        behavior: rule.behavior.clone(),
-                        fired_rule: Some(index),
-                    },
-                    convert,
-                    query,
-                    cached: false,
-                    db_stats: Default::default(),
-                    analyzed: Vec::new(),
-                    verdict_cached: false,
-                    epoch: 0,
-                });
-            }
+            verdict = fired(rule, index);
+            break;
         }
-        Ok(MatchOutcome {
-            verdict: Verdict::default_block(),
-            convert,
-            query,
-            cached: false,
-            db_stats: Default::default(),
-            analyzed: Vec::new(),
-            verdict_cached: false,
-            epoch: 0,
-        })
+        Ok(MatchOutcome::computed(verdict, convert, query, false))
     }
 
     /// Match a preference against **every** installed policy
@@ -912,19 +847,12 @@ impl PolicyServer {
         engine: EngineKind,
         subset: Option<&[String]>,
     ) -> Result<Vec<(String, Verdict)>, ServerError> {
-        if !self.verdicts.is_enabled() || p3p_minidb::exec::profiling_enabled() {
+        if !self.verdicts_apply() {
             return self.bulk_dispatch(ruleset, engine, subset);
         }
         let roster = self.roster(subset)?;
         let fingerprint = TranslationCache::fingerprint(ruleset);
-        let knobs = self.knob_word();
-        let key_of = |id: i64| VerdictKey {
-            fingerprint,
-            policy_id: id,
-            policy_version: self.policy_version_by_id(id),
-            engine,
-            knobs,
-        };
+        let key_of = |id: i64| self.verdict_key(fingerprint, id, engine);
         let mut hits: HashMap<String, Verdict> = HashMap::new();
         let mut missed: Vec<String> = Vec::new();
         for (id, name) in &roster {
@@ -1053,13 +981,7 @@ impl PolicyServer {
                 .collect();
             undecided.retain(|id| {
                 if matched.contains(id) {
-                    verdicts.insert(
-                        *id,
-                        Verdict {
-                            behavior: rule.behavior.clone(),
-                            fired_rule: Some(index),
-                        },
-                    );
+                    verdicts.insert(*id, fired(rule, index));
                     false
                 } else {
                     true
@@ -1100,22 +1022,7 @@ impl PolicyServer {
         let mut out = Vec::with_capacity(roster.len());
         for (id, name) in roster {
             refschema::stage_applicable(&mut db, id)?;
-            let mut verdict = Verdict::default_block();
-            for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
-                let _ctx = QueryContextGuard::rule(index as u64);
-                let fired = match plan {
-                    Some(plan) => !db.query_prepared(plan, &[])?.is_empty(),
-                    None => true,
-                };
-                if fired {
-                    verdict = Verdict {
-                        behavior: rule.behavior.clone(),
-                        fired_rule: Some(index),
-                    };
-                    break;
-                }
-            }
-            out.push((name, verdict));
+            out.push((name, staged_verdict(&db, ruleset, &plans)?));
         }
         Ok(out)
     }
@@ -1145,6 +1052,27 @@ impl PolicyServer {
     }
 }
 
+/// The XTABLE engine's verdict for the policy staged in `db`'s
+/// `applicable_policy` row: the first rule whose query returns a row
+/// fires, and an unconditional (OTHERWISE) rule fires without one.
+fn staged_verdict(
+    db: &Database,
+    ruleset: &Ruleset,
+    plans: &TranslatedPlans,
+) -> Result<Verdict, ServerError> {
+    for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
+        let _ctx = QueryContextGuard::rule(index as u64);
+        let hit = match plan {
+            Some(plan) => !db.query_prepared(plan, &[])?.is_empty(),
+            None => true,
+        };
+        if hit {
+            return Ok(fired(rule, index));
+        }
+    }
+    Ok(Verdict::default_block())
+}
+
 /// Append `applicable_policy.policy_id IN (…)` to a corpus query so it
 /// only decides the still-undecided ids. The corpus translators always
 /// parenthesize their WHERE condition, so a plain `AND` is safe.
@@ -1171,6 +1099,7 @@ impl Default for PolicyServer {
 mod tests {
     use super::*;
     use p3p_appel::model::{jane_preference, Behavior};
+    use p3p_minidb::ExecOptions;
     use p3p_policy::model::volga_policy;
 
     fn server_with_volga() -> PolicyServer {
@@ -1661,16 +1590,34 @@ mod tests {
         let jane = jane_preference();
         s.match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
             .unwrap();
-        p3p_minidb::exec::set_columnar(false);
-        let toggled = s
-            .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
-            .unwrap();
-        p3p_minidb::exec::set_columnar(true);
-        assert!(
-            !toggled.verdict_cached,
-            "columnar off must not reuse the columnar-on verdict"
-        );
-        assert_eq!(s.verdict_cache_stats().entries, 2);
+        // Clones share the verdict cache, so a key that ignored one of
+        // these options would answer from the default options' verdict.
+        let defaults = ExecOptions::default();
+        for options in [
+            ExecOptions {
+                columnar: false,
+                ..defaults
+            },
+            ExecOptions {
+                indexes: false,
+                ..defaults
+            },
+            ExecOptions {
+                planner: false,
+                ..defaults
+            },
+        ] {
+            let mut clone = s.clone_state();
+            clone.database_mut().set_options(options);
+            let out = clone
+                .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
+                .unwrap();
+            assert!(
+                !out.verdict_cached,
+                "{options:?} reused the default verdict"
+            );
+        }
+        assert_eq!(s.verdict_cache_stats().entries, 4);
     }
 
     #[test]
@@ -1681,29 +1628,23 @@ mod tests {
         let mut s = server_with_volga();
         s.set_verdict_cache_capacity(256);
         let jane = jane_preference();
-        let default_rule = s
-            .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
-            .unwrap();
-        assert!(!default_rule.verdict_cached);
-        let mut arms = Vec::new();
-        for forced in [Some(8), Some(0), Some(u32::MAX)] {
-            p3p_minidb::exec::set_decorrelate_after(forced);
+        let arms = [None, Some(8), Some(0), Some(u32::MAX)].map(|decorrelate_after| ExecOptions {
+            decorrelate_after,
+            ..ExecOptions::default()
+        });
+        for options in arms {
+            s.database_mut().set_options(options);
             let out = s
                 .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
                 .unwrap();
-            arms.push((forced, out.verdict_cached, s.knob_word()));
-            p3p_minidb::exec::set_decorrelate_after(None);
-        }
-        for (forced, cached, _) in &arms {
-            assert!(!cached, "{forced:?} reused another arm's verdict");
+            assert!(
+                !out.verdict_cached,
+                "{options:?} reused another arm's verdict"
+            );
         }
         assert_eq!(s.verdict_cache_stats().entries, 4);
-        let mut words: Vec<u64> = arms.iter().map(|a| a.2).collect();
-        words.push(s.knob_word());
-        words.sort_unstable();
-        words.dedup();
-        assert_eq!(words.len(), 4, "every arm has its own knob word");
         // Back on the default rule, the first verdict is served again.
+        s.database_mut().set_options(ExecOptions::default());
         let again = s
             .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
             .unwrap();

@@ -7,7 +7,7 @@
 //! a sharded, LRU-bounded map from
 //!
 //! ```text
-//! (ruleset fingerprint × policy id × policy version × engine × executor knobs)
+//! (ruleset fingerprint × policy id × policy version × engine × execution options)
 //! ```
 //!
 //! to the [`Verdict`] the engine produced. The fingerprint is the same
@@ -15,17 +15,15 @@
 //! ([`crate::translation::TranslationCache::fingerprint`]); the policy
 //! version is the per-name counter [`crate::PolicyServer`] bumps on
 //! every install/replace/remove (so a re-shred of policy P silently
-//! orphans P's old entries even before they are swept); the knob word
-//! captures the executor toggles (planner, columnar, decorrelation
-//! threshold) so A/B knob comparisons never alias. A hit answers a
-//! match without touching minidb at all.
+//! orphans P's old entries even before they are swept); the options are
+//! the database's whole [`ExecOptions`] value, so an A/B comparison of
+//! any option never aliases. A hit answers a match without touching
+//! minidb at all.
 //!
 //! Invalidation is precise: removing or re-shredding policy P evicts
-//! only P's entries ([`VerdictCache::invalidate_policy`]); the
-//! ruleset-wide [`VerdictCache::flush`] is reserved for schema or
-//! dialect changes. Capacity 0 disables the cache entirely (the
-//! default for a fresh server — deployments and the churn workload
-//! opt in).
+//! only P's entries ([`VerdictCache::invalidate_policy`]). Capacity 0
+//! disables the cache entirely (the default for a fresh server —
+//! deployments and the churn workload opt in).
 //!
 //! ## Sharing and copy-on-write forks
 //!
@@ -43,6 +41,7 @@
 
 use crate::server::EngineKind;
 use p3p_appel::engine::Verdict;
+use p3p_minidb::ExecOptions;
 use p3p_telemetry::metrics::{self, Counter, Gauge};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -67,9 +66,9 @@ pub struct VerdictKey {
     pub policy_version: u64,
     /// Which engine produced the verdict.
     pub engine: EngineKind,
-    /// Executor-knob word (planner/columnar/decorrelation) so knob
+    /// The execution options the verdict was computed under, so
     /// variants never alias each other's verdicts.
-    pub knobs: u64,
+    pub options: ExecOptions,
 }
 
 impl VerdictKey {
@@ -373,7 +372,7 @@ mod tests {
             policy_id,
             policy_version: version,
             engine: EngineKind::Sql,
-            knobs: 0,
+            options: ExecOptions::default(),
         }
     }
 
@@ -410,8 +409,8 @@ mod tests {
         cache.insert(key(1, 1, 1), verdict(Behavior::Request));
         assert_eq!(cache.get(&key(1, 1, 2)), None, "new version must miss");
         let mut knobbed = key(1, 1, 1);
-        knobbed.knobs = 1;
-        assert_eq!(cache.get(&knobbed), None, "knob variant must miss");
+        knobbed.options.columnar = false;
+        assert_eq!(cache.get(&knobbed), None, "option variant must miss");
         let mut other_engine = key(1, 1, 1);
         other_engine.engine = EngineKind::Native;
         assert_eq!(cache.get(&other_engine), None, "engine variant must miss");

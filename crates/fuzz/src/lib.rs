@@ -6,13 +6,13 @@
 //! random policies and rulesets from [`p3p_workload::gen`] are
 //! installed into a [`PolicyServer`] and matched by every engine over
 //! every evaluation path — per-policy loop, set-at-a-time
-//! [`PolicyServer::match_corpus`], sharded
-//! [`MatchPool`](p3p_server::concurrent::MatchPool) — and under every
-//! optimization knob added since PR 2 (planner on/off, forced EXISTS
-//! decorrelation, snapshot clones, execution profiling on/off, and the
-//! columnar batch executor vs the row-at-a-time interpreter). The
-//! native APPEL engine is the reference; any verdict disagreement is a
-//! [`Divergence`].
+//! [`PolicyServer::match_corpus`], sharded [`MatchPool`] — under the
+//! default execution options and every variant in
+//! [`option_variants`] (planner off, indexes off, forced and pinned
+//! EXISTS decorrelation, profiling on, and the row-at-a-time
+//! interpreter instead of the columnar batch executor), plus snapshot
+//! clones. The native APPEL engine is the reference; any verdict
+//! disagreement is a [`Divergence`].
 //!
 //! Engines may *decline* a case: exact connectives on structural
 //! elements translate to a typed [`ServerError::Unsupported`], and the
@@ -32,6 +32,7 @@ pub mod shrink;
 
 use p3p_appel::engine::AppelEngine;
 use p3p_appel::{Ruleset, Verdict};
+use p3p_minidb::ExecOptions;
 use p3p_policy::Policy;
 use p3p_server::concurrent::{MatchPool, SharedServer};
 use p3p_server::{EngineKind, PolicyServer, ServerError, Target};
@@ -157,11 +158,35 @@ fn loop_verdicts(
         .collect()
 }
 
+/// The execution-option variants the oracles run besides the defaults.
+/// Each changes how minidb executes a query, never which rows it
+/// returns.
+pub fn option_variants() -> [(&'static str, ExecOptions); 6] {
+    let with = |change: fn(&mut ExecOptions)| {
+        let mut options = ExecOptions::default();
+        change(&mut options);
+        options
+    };
+    [
+        ("planner-off", with(|o| o.planner = false)),
+        ("indexes-off", with(|o| o.indexes = false)),
+        // Threshold 0 decorrelates every eligible EXISTS; MAX pins the
+        // correlated nested loop.
+        ("decorrelate", with(|o| o.decorrelate_after = Some(0))),
+        (
+            "nested-loop",
+            with(|o| o.decorrelate_after = Some(u32::MAX)),
+        ),
+        ("profiled", with(|o| o.profile = true)),
+        ("row-executor", with(|o| o.columnar = false)),
+    ]
+}
+
 /// Run the full oracle on one case: install the policies once, take
 /// the native per-policy loop as the reference, then compare every
-/// engine over the loop, bulk, and sharded paths, plus the
-/// planner-off, forced-decorrelation, and snapshot-clone knob
-/// variants for the SQL engines.
+/// engine over the loop, bulk, and sharded paths, the SQL engines and
+/// a sharded XTABLE sweep under every [`option_variants`] entry, and
+/// a snapshot clone.
 pub fn check_case(case: &FuzzCase) -> CaseReport {
     let mut server = PolicyServer::new();
     for p in &case.policies {
@@ -211,70 +236,32 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
         );
     }
 
-    // Knob: cost-based join planner off. The plan changes; the rows —
-    // and therefore the verdicts — must not.
-    let mut planner_off = server.clone_state();
-    planner_off.database_mut().set_use_planner(false);
-    for &engine in &[EngineKind::Sql, EngineKind::SqlGeneric] {
-        report.verdicts_match(
-            &format!("{}/loop planner-off", engine.metric_label()),
-            &reference,
-            loop_verdicts(&planner_off, &case.ruleset, engine, &names),
-        );
-    }
-
-    // Knob: EXISTS decorrelation forced on (threshold 0) and pinned
-    // off (threshold MAX). Both extremes must answer like the
-    // adaptive default.
-    for (threshold, tag) in [(Some(0), "decorrelate"), (Some(u32::MAX), "nested-loop")] {
-        p3p_minidb::exec::set_decorrelate_after(threshold);
-        for &engine in &[EngineKind::Sql, EngineKind::SqlGeneric] {
+    // Every option variant, applied to a snapshot clone: the SQL
+    // engines over the loop and bulk paths, and a sharded XTABLE sweep
+    // off a pool built from that clone, whose shards inherit them.
+    for (tag, options) in option_variants() {
+        let mut variant = server.clone_state();
+        variant.database_mut().set_options(options);
+        for engine in [EngineKind::Sql, EngineKind::SqlGeneric] {
+            let label = engine.metric_label();
             report.verdicts_match(
-                &format!("{}/bulk {tag}", engine.metric_label()),
+                &format!("{label}/loop {tag}"),
                 &reference,
-                server.match_corpus(&case.ruleset, engine),
+                loop_verdicts(&variant, &case.ruleset, engine, &names),
+            );
+            report.verdicts_match(
+                &format!("{label}/bulk {tag}"),
+                &reference,
+                variant.match_corpus(&case.ruleset, engine),
             );
         }
-        p3p_minidb::exec::set_decorrelate_after(None);
-    }
-
-    // Knob: execution profiling on. The profiler is observation-only;
-    // every path must answer byte-identically with it enabled.
-    p3p_minidb::exec::set_profiling(true);
-    for &engine in &[EngineKind::Sql, EngineKind::SqlGeneric] {
-        let label = engine.metric_label();
+        let pool = MatchPool::new(&SharedServer::new(variant));
         report.verdicts_match(
-            &format!("{label}/loop profiled"),
+            &format!("xquery_xtable/sharded {tag}"),
             &reference,
-            loop_verdicts(&server, &case.ruleset, engine, &names),
-        );
-        report.verdicts_match(
-            &format!("{label}/bulk profiled"),
-            &reference,
-            server.match_corpus(&case.ruleset, engine),
+            pool.match_corpus(&case.ruleset, EngineKind::XQueryXTable, 3),
         );
     }
-    p3p_minidb::exec::set_profiling(false);
-
-    // Knob: columnar batch executor off. Every path above ran with the
-    // columnar engine engaging wherever eligible (it is on by default);
-    // pinning it off forces the row-at-a-time interpreter everywhere,
-    // and the two executors must answer identically.
-    p3p_minidb::exec::set_columnar(false);
-    for &engine in &[EngineKind::Sql, EngineKind::SqlGeneric] {
-        let label = engine.metric_label();
-        report.verdicts_match(
-            &format!("{label}/loop row-executor"),
-            &reference,
-            loop_verdicts(&server, &case.ruleset, engine, &names),
-        );
-        report.verdicts_match(
-            &format!("{label}/bulk row-executor"),
-            &reference,
-            server.match_corpus(&case.ruleset, engine),
-        );
-    }
-    p3p_minidb::exec::set_columnar(true);
 
     // Knob: a COW snapshot clone must answer exactly like the server
     // it was cloned from.

@@ -4,20 +4,21 @@
 //! only when they flip a verdict. These checks look one layer down:
 //! the corpus-form SQL each rule translates to (parameter-free, one
 //! query per rule) is executed against the shredded database under
-//! every execution-knob variant, and the *row sets* — not just the
-//! folded verdicts — must be identical:
+//! the default options and every variant, and the *row sets* — not
+//! just the folded verdicts — must be identical:
 //!
-//! * cost-based join planner on vs off,
-//! * prepared-and-cached plan vs a cold [`Database::prepare_uncached`],
+//! * prepared-and-cached plan vs a cold
+//!   [`Database::prepare_uncached`](p3p_minidb::Database::prepare_uncached),
 //! * first execution vs re-execution through the plan cache,
 //! * the original database vs a copy-on-write clone,
-//! * EXISTS decorrelation forced on (threshold 0) vs pinned to the
-//!   correlated nested loop (threshold `u32::MAX`),
-//! * execution profiling on vs the unprofiled baseline,
-//! * columnar batch executor on vs the row-at-a-time interpreter.
+//! * a clone under each of [`crate::option_variants`]: planner off,
+//!   indexes off, EXISTS decorrelation forced on (threshold 0) and
+//!   pinned to the correlated nested loop (threshold `u32::MAX`),
+//!   profiling on, and the row-at-a-time interpreter instead of the
+//!   columnar batch executor.
 
 use crate::FuzzCase;
-use p3p_minidb::{exec, QueryResult};
+use p3p_minidb::QueryResult;
 use p3p_server::appel2sql;
 use p3p_server::generic::GenericSchema;
 use p3p_server::PolicyServer;
@@ -31,7 +32,7 @@ pub struct MetamorphicReport {
     pub mismatches: Vec<String>,
 }
 
-/// Run every knob variant of every translatable corpus query and
+/// Run every option variant of every translatable corpus query and
 /// compare row sets. Untranslatable rules (typed `Unsupported`) are
 /// skipped — the verdict oracle already covers their classification.
 pub fn check_minidb(case: &FuzzCase) -> MetamorphicReport {
@@ -78,11 +79,6 @@ pub fn check_minidb(case: &FuzzCase) -> MetamorphicReport {
                 .push(format!("{label}: {tag} failed: {e}")),
         };
 
-        // Planner off: same rows from syntactic FROM-order joins.
-        let mut unplanned = db.clone();
-        unplanned.set_use_planner(false);
-        expect("planner-off", unplanned.query(sql));
-
         // Cold prepare (no plan cache) vs the cached prepare baseline
         // used, and a re-execution through the now-warm cache.
         expect(
@@ -95,28 +91,12 @@ pub fn check_minidb(case: &FuzzCase) -> MetamorphicReport {
         // A copy-on-write clone must answer identically.
         expect("cow-clone", db.clone().query(sql));
 
-        // Forced decorrelation extremes. Threshold 0 decorrelates an
-        // eligible EXISTS from its second evaluation, so run the query
-        // twice and compare the warm run; MAX pins the nested loop.
-        exec::set_decorrelate_after(Some(0));
-        let _ = db.query(sql);
-        expect("decorrelated", db.query(sql));
-        exec::set_decorrelate_after(Some(u32::MAX));
-        expect("nested-loop", db.query(sql));
-        exec::set_decorrelate_after(None);
-
-        // Execution profiling on: the profiler observes, it must not
-        // change a single row.
-        exec::set_profiling(true);
-        expect("profiled", db.query(sql));
-        exec::set_profiling(false);
-
-        // Columnar batch executor off: the row-at-a-time interpreter
-        // must produce the identical row set (the baseline above ran
-        // with columnar kernels engaging wherever eligible).
-        exec::set_columnar(false);
-        expect("row-executor", db.query(sql));
-        exec::set_columnar(true);
+        // Each option variant changes the plan, never the rows.
+        for (tag, options) in crate::option_variants() {
+            let mut variant = db.clone();
+            variant.set_options(options);
+            expect(tag, variant.query(sql));
+        }
     }
     report
 }

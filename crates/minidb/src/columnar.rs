@@ -2,7 +2,7 @@
 //!
 //! The row engine ([`crate::exec`]) interprets the `Expr` tree once per
 //! row. This module compiles an eligible SELECT into per-column kernels
-//! ([`Spec`]) and evaluates them over batches of [`BATCH`] row-ids,
+//! (`Spec`) and evaluates them over batches of [`BATCH`] row-ids,
 //! producing a selection vector per batch instead of a per-row
 //! `Option<bool>`. Decorrelated EXISTS subqueries become typed hash
 //! sets built with one columnar scan of the subquery table and probed
@@ -13,11 +13,11 @@
 //! Eligibility is strict: one FROM table, plain column/literal
 //! projections, no aggregates, and a filter every node of which
 //! compiles to a kernel. Anything else returns `None` from
-//! [`try_select`] and falls back to the row engine, which also remains
-//! the oracle for the differential fuzzer's `columnar` knob
-//! ([`crate::exec::set_columnar`]).
+//! `try_select` and falls back to the row engine, which also remains
+//! the oracle for the differential fuzzer, which turns
+//! [`ExecOptions::columnar`] off to compare the two executors.
 //!
-//! Three-valued logic is carried in [`BoolVec`]: two bitmask words per
+//! Three-valued logic is carried in `BoolVec`: two bitmask words per
 //! 64 rows (`truth` and `known`, with `truth ⊆ known`), so NOT/AND/OR
 //! over a batch are a handful of word ops and NULL semantics match the
 //! row engine bit for bit.
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use crate::database::{Database, QueryResult};
 use crate::error::DbError;
-use crate::exec;
+use crate::exec::{self, ExecOptions};
 use crate::profile::{Collector, ExistsStrategy};
 use crate::schema::DataType;
 use crate::sql::ast::{CompareOp, Expr, SelectItem, SelectStmt, TableRef};
@@ -37,7 +37,7 @@ use crate::value::{like_match, Value};
 
 /// Candidate-row count at or below which an EXISTS statement is left to
 /// the row engine's correlated loop, unless an evaluation-count override
-/// ([`exec::set_decorrelate_after`]) replaces it.
+/// ([`ExecOptions::decorrelate_after`]) replaces it.
 const EXISTS_MIN_CANDIDATES: u32 = 8;
 
 /// Rows evaluated per batch. Large enough to amortize dispatch, small
@@ -248,6 +248,7 @@ pub(crate) fn try_select(
     db: &Database,
     stmt: &SelectStmt,
     params: &[Value],
+    opts: ExecOptions,
 ) -> Result<Option<QueryResult>, DbError> {
     // Cheap pre-flight before any kernel compilation: resolve the one
     // table and count candidate rows. Over a few candidates the row
@@ -263,12 +264,10 @@ pub(crate) fn try_select(
     let Some(table) = db.table(&tref.table) else {
         return Ok(None);
     };
-    let profiling = exec::profiling_enabled();
-    let probe = exec::probe_candidates(db, tref, table, stmt.filter.as_ref(), params, profiling)?;
+    let probe = exec::probe_candidates(db, tref, table, stmt.filter.as_ref(), params, opts)?;
     let candidates = probe.as_ref().map_or(table.len(), |p| p.ids.len());
     if stmt.filter.as_ref().is_some_and(filter_has_exists)
-        && (candidates as u64)
-            <= u64::from(exec::decorrelate_override().unwrap_or(EXISTS_MIN_CANDIDATES))
+        && (candidates as u64) <= u64::from(opts.decorrelate_after.unwrap_or(EXISTS_MIN_CANDIDATES))
     {
         return Ok(None);
     }
@@ -277,11 +276,7 @@ pub(crate) fn try_select(
     };
 
     // Committed: from here on, stats and the profile are ours.
-    let profiler = if profiling {
-        Some(Collector::new())
-    } else {
-        None
-    };
+    let profiler = opts.profile.then(Collector::new);
     let addr = stmt as *const SelectStmt as usize;
     let select_start = profiler.as_ref().map(|p| p.enter(addr, "Select"));
     if let Some(kernel) = &mut c.kernel {
@@ -1334,9 +1329,12 @@ mod tests {
 
     /// Run one query on both executors and insist on identical output.
     fn run_both(db: &Database, sql: &str) -> QueryResult {
-        exec::set_columnar(false);
-        let row = db.query(sql).expect("row engine");
-        exec::set_columnar(true);
+        let mut row_db = db.clone();
+        row_db.set_options(ExecOptions {
+            columnar: false,
+            ..db.options()
+        });
+        let row = row_db.query(sql).expect("row engine");
         let col = db.query(sql).expect("columnar engine");
         assert_eq!(row, col, "engines diverge on {sql}");
         col
@@ -1488,10 +1486,7 @@ mod tests {
         // The columnar run above built exactly one hash set per EXISTS
         // node; confirm through the profile that the set was probed in
         // batches rather than per-row loops.
-        exec::set_profiling(true);
-        db.query(sql).unwrap();
-        exec::set_profiling(false);
-        let profile = exec::take_last_profile().expect("profiled");
+        let (_, profile) = db.query_profiled(sql).unwrap();
         let rendered = profile.render();
         assert!(rendered.contains("builds=1"), "{rendered}");
         assert!(rendered.contains("columnar"), "{rendered}");
@@ -1502,10 +1497,9 @@ mod tests {
         // 2050 rows = 3 batches; the Filter node must still account
         // per-row (loops == rows in), and the scan level per-batch.
         let db = tagged_db(2050);
-        exec::set_profiling(true);
-        db.query("SELECT id FROM t WHERE tag IS NOT NULL").unwrap();
-        exec::set_profiling(false);
-        let profile = exec::take_last_profile().expect("profiled");
+        let (_, profile) = db
+            .query_profiled("SELECT id FROM t WHERE tag IS NOT NULL")
+            .unwrap();
         let mut scan = None;
         let mut filter = None;
         profile.visit(&mut |node| {

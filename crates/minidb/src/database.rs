@@ -1,7 +1,7 @@
 //! The database façade: catalog plus the `execute`/`query` entry points.
 
 use crate::error::DbError;
-use crate::exec;
+use crate::exec::{self, ExecOptions};
 use crate::plan::{self, PlanCache, PlanCacheStats, Prepared, PLAN_DRIFT_FACTOR};
 use crate::profile::Profile;
 use crate::schema::{ColumnDef, ForeignKey, TableSchema};
@@ -171,11 +171,10 @@ pub enum ExecOutcome {
 }
 
 /// An in-memory database: named tables plus execution settings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    use_indexes: bool,
-    use_planner: bool,
+    options: ExecOptions,
     check_foreign_keys: bool,
     /// Plan cache shared across clones of this database (the `Arc`
     /// inside `PlanCache`): snapshots made for concurrent matching keep
@@ -184,40 +183,26 @@ pub struct Database {
 }
 
 impl Database {
-    /// An empty database with indexes, the join planner, and FK
+    /// An empty database with the default [`ExecOptions`] and FK
     /// checking enabled.
     pub fn new() -> Database {
         Database {
             tables: BTreeMap::new(),
-            use_indexes: true,
-            use_planner: true,
+            options: ExecOptions::default(),
             check_foreign_keys: true,
             plans: PlanCache::default(),
         }
     }
 
-    /// Enable or disable hash-index use during query execution (the
-    /// suite's index-ablation knob). Indexes are still maintained.
-    pub fn set_use_indexes(&mut self, enabled: bool) {
-        self.use_indexes = enabled;
+    /// The options every statement on this database runs under.
+    pub fn options(&self) -> ExecOptions {
+        self.options
     }
 
-    /// Whether query execution may use hash indexes.
-    pub fn use_indexes(&self) -> bool {
-        self.use_indexes
-    }
-
-    /// Enable or disable the cost-based join planner. Disabled,
-    /// multi-table SELECTs scan in literal FROM order with the
-    /// index-probed nested loop — the baseline the join bench measures
-    /// against.
-    pub fn set_use_planner(&mut self, enabled: bool) {
-        self.use_planner = enabled;
-    }
-
-    /// Whether multi-table SELECTs go through the cost-based planner.
-    pub fn use_planner(&self) -> bool {
-        self.use_planner
+    /// Replace the execution options. Clones made afterwards inherit
+    /// them; clones made before keep their own.
+    pub fn set_options(&mut self, options: ExecOptions) {
+        self.options = options;
     }
 
     /// Enable or disable foreign-key checking on insert.
@@ -337,7 +322,8 @@ impl Database {
             // replanning when table sizes have drifted since plan time.
             Statement::Select(sel) => {
                 prepared.join_plans().check_drift(self);
-                exec::run_select_with_plans(self, sel, params, Some(prepared.join_plans()))
+                let plans = Some(prepared.join_plans());
+                exec::run_select_with_plans(self, sel, params, plans, self.options)
                     .map(ExecOutcome::Rows)
             }
             stmt => self.execute_stmt_ref(stmt, params),
@@ -554,6 +540,15 @@ impl Database {
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<QueryResult, DbError> {
+        self.query_prepared_with(prepared, params, self.options)
+    }
+
+    fn query_prepared_with(
+        &self,
+        prepared: &Prepared,
+        params: &[Value],
+        opts: ExecOptions,
+    ) -> Result<QueryResult, DbError> {
         match prepared.statement() {
             Statement::Select(sel) => {
                 let before = exec::stats_snapshot();
@@ -561,8 +556,8 @@ impl Database {
                 // Replan when table sizes have drifted an order of
                 // magnitude since the cached join plans were costed.
                 prepared.join_plans().check_drift(self);
-                let result =
-                    exec::run_select_with_plans(self, sel, params, Some(prepared.join_plans()));
+                let plans = Some(prepared.join_plans());
+                let result = exec::run_select_with_plans(self, sel, params, plans, opts);
                 report_statement(prepared.sql(), &before, start.elapsed(), true);
                 result
             }
@@ -580,19 +575,18 @@ impl Database {
         self.query_prepared_profiled(&prepared, &[])
     }
 
-    /// [`Database::query_prepared`] with per-operator profiling turned
-    /// on for this statement only; the thread's profiling flag is
-    /// restored afterwards.
+    /// [`Database::query_prepared`] with [`ExecOptions::profile`] on for
+    /// this statement only.
     pub fn query_prepared_profiled(
         &self,
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<(QueryResult, Profile), DbError> {
-        let was_profiling = exec::profiling_enabled();
-        exec::set_profiling(true);
-        let result = self.query_prepared(prepared, params);
-        exec::set_profiling(was_profiling);
-        let rows = result?;
+        let profiled = ExecOptions {
+            profile: true,
+            ..self.options
+        };
+        let rows = self.query_prepared_with(prepared, params, profiled)?;
         let profile = exec::take_last_profile()
             .ok_or_else(|| DbError::Execution("no profile was collected".to_string()))?;
         Ok((rows, profile))
@@ -696,9 +690,24 @@ impl Database {
     }
 }
 
+impl Default for Database {
+    fn default() -> Self {
+        Database::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A clone of `db` whose options `f` has changed.
+    fn tuned(db: &Database, f: impl FnOnce(&mut ExecOptions)) -> Database {
+        let mut options = db.options();
+        f(&mut options);
+        let mut clone = db.clone();
+        clone.set_options(options);
+        clone
+    }
 
     fn policy_db() -> Database {
         let mut db = Database::new();
@@ -746,8 +755,9 @@ mod tests {
         assert_eq!(result.rows.len(), 2);
         assert_eq!(profile.root.kind, "select");
         assert_eq!(profile.root.rows, 2);
-        // The flag is restored: a plain query collects nothing.
-        assert!(!exec::profiling_enabled());
+        // The override was for that statement: a plain query collects
+        // nothing.
+        assert!(!db.options().profile);
         db.query("SELECT * FROM statement WHERE policy_id = 1")
             .unwrap();
         assert!(exec::take_last_profile().is_none());
@@ -993,8 +1003,7 @@ mod tests {
         let with = exec::take_stats();
         assert!(with.index_probes >= 1, "{with:?}");
 
-        let mut db2 = policy_db();
-        db2.set_use_indexes(false);
+        let db2 = tuned(&policy_db(), |o| o.indexes = false);
         exec::take_stats();
         db2.query("SELECT name FROM policy WHERE policy_id = 1")
             .unwrap();
@@ -1006,8 +1015,7 @@ mod tests {
     #[test]
     fn results_agree_with_and_without_indexes() {
         let db = policy_db();
-        let mut db_noidx = policy_db();
-        db_noidx.set_use_indexes(false);
+        let db_noidx = tuned(&db, |o| o.indexes = false);
         for sql in [
             "SELECT * FROM purpose WHERE policy_id = 1 AND statement_id = 2",
             "SELECT name FROM policy p WHERE EXISTS (SELECT * FROM statement s WHERE s.policy_id = p.policy_id)",
@@ -1159,11 +1167,7 @@ mod tests {
         let mut db = policy_db();
         db.execute("INSERT INTO policy VALUES (2, 'dnepr'), (3, 'ob')")
             .unwrap();
-        let mut db_noidx = policy_db();
-        db_noidx
-            .execute("INSERT INTO policy VALUES (2, 'dnepr'), (3, 'ob')")
-            .unwrap();
-        db_noidx.set_use_indexes(false);
+        let db_noidx = tuned(&db, |o| o.indexes = false);
         for sql in [
             "SELECT name FROM policy WHERE policy_id IN (3, 1) ORDER BY policy_id",
             "SELECT name FROM policy WHERE policy_id IN (2, 2) ORDER BY policy_id",
@@ -1449,17 +1453,18 @@ mod tests {
         let sql = "SELECT p.policy_id FROM policy p WHERE EXISTS (\
                      SELECT * FROM purpose pu WHERE pu.policy_id = p.policy_id \
                        AND pu.purpose = 'current') ORDER BY p.policy_id";
-        exec::set_decorrelate_after(Some(0));
         exec::take_stats();
-        let decorrelated = db.query(sql).unwrap();
+        let decorrelated = tuned(&db, |o| o.decorrelate_after = Some(0))
+            .query(sql)
+            .unwrap();
         let forced = exec::take_stats();
         assert_eq!(forced.exists_builds, 1, "{forced:?}");
-        exec::set_decorrelate_after(Some(u32::MAX));
-        let nested = db.query(sql).unwrap();
+        let nested = tuned(&db, |o| o.decorrelate_after = Some(u32::MAX))
+            .query(sql)
+            .unwrap();
         let pinned = exec::take_stats();
         assert_eq!(pinned.exists_builds, 0, "{pinned:?}");
         assert_eq!(pinned.exists_probes, 0, "{pinned:?}");
-        exec::set_decorrelate_after(None);
         assert_eq!(decorrelated, nested);
     }
 
@@ -1507,14 +1512,15 @@ mod tests {
             "SELECT o.id FROM outer_t o WHERE EXISTS (\
                SELECT * FROM inner_t i WHERE i.k = o.k AND i.flag = 1) ORDER BY o.id",
         ] {
-            exec::set_decorrelate_after(Some(0));
             exec::take_stats();
-            let hashed = db.query(sql).unwrap();
+            let hashed = tuned(&db, |o| o.decorrelate_after = Some(0))
+                .query(sql)
+                .unwrap();
             assert_eq!(exec::take_stats().exists_builds, 1, "{sql}");
-            exec::set_decorrelate_after(Some(u32::MAX));
-            let looped = db.query(sql).unwrap();
+            let looped = tuned(&db, |o| o.decorrelate_after = Some(u32::MAX))
+                .query(sql)
+                .unwrap();
             assert_eq!(exec::take_stats().exists_builds, 0, "{sql}");
-            exec::set_decorrelate_after(None);
             assert_eq!(hashed, looped, "{sql}");
             assert!(!hashed.rows.is_empty(), "degenerate data for {sql}");
         }
@@ -1617,11 +1623,11 @@ mod tests {
 
         // The forced count rule at 8 hashes all 1,200 purpose rows for
         // the same answer.
-        exec::set_decorrelate_after(Some(8));
-        let forced = db.query_prepared(&plan, &[Value::Int(42)]);
+        let forced = tuned(&db, |o| o.decorrelate_after = Some(8))
+            .query_prepared(&plan, &[Value::Int(42)])
+            .unwrap();
         let forced_stats = exec::take_stats();
-        exec::set_decorrelate_after(None);
-        assert_eq!(forced.unwrap(), rows);
+        assert_eq!(forced, rows);
         assert_eq!(forced_stats.exists_builds, 1, "{forced_stats:?}");
         assert!(forced_stats.rows_scanned > 1200, "{forced_stats:?}");
     }
@@ -1652,10 +1658,9 @@ mod tests {
         // on the first evaluation after the cost passes 60.
         const INNER: i64 = 60;
         const OUTER: i64 = 80;
-        exec::set_columnar(false);
         for bucket in [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60] {
             let keys = INNER / bucket;
-            let mut db = Database::new();
+            let mut db = tuned(&Database::new(), |o| o.columnar = false);
             db.execute("CREATE TABLE o (id INT NOT NULL, k INT NOT NULL)")
                 .unwrap();
             db.execute("CREATE TABLE i (k INT NOT NULL, v VARCHAR NOT NULL)")
@@ -1694,7 +1699,6 @@ mod tests {
             assert!(cost - (bucket as u64 + 1) <= inner_rows, "bucket {bucket}");
             assert!(cost > inner_rows, "bucket {bucket}");
         }
-        exec::set_columnar(true);
     }
 
     /// Two join tables sized so the planner must reorder: `jbig` (60
@@ -1729,8 +1733,7 @@ mod tests {
     #[test]
     fn results_agree_with_and_without_planner() {
         let db = policy_db();
-        let mut db_noplan = policy_db();
-        db_noplan.set_use_planner(false);
+        let db_noplan = tuned(&db, |o| o.planner = false);
         let sorted = |mut rows: Vec<Vec<Value>>| {
             rows.sort_by_key(|r| format!("{r:?}"));
             rows
@@ -1836,8 +1839,7 @@ mod tests {
             .query("SELECT na.k, nb.k FROM na, nb WHERE na.k = nb.k")
             .unwrap();
         assert_eq!(planned.rows, vec![vec![Value::Int(1), Value::Int(1)]]);
-        let mut db_noplan = db.clone();
-        db_noplan.set_use_planner(false);
+        let db_noplan = tuned(&db, |o| o.planner = false);
         let unplanned = db_noplan
             .query("SELECT na.k, nb.k FROM na, nb WHERE na.k = nb.k")
             .unwrap();

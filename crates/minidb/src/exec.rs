@@ -48,17 +48,26 @@ pub struct ExecStats {
 impl ExecStats {
     /// Statistics accumulated since `earlier` (field-wise difference).
     pub fn since(&self, earlier: &ExecStats) -> ExecStats {
+        self.zip(earlier, |a, b| a - b)
+    }
+
+    /// Field-wise sum: the work of two executions together.
+    pub fn plus(&self, other: &ExecStats) -> ExecStats {
+        self.zip(other, |a, b| a + b)
+    }
+
+    fn zip(&self, other: &ExecStats, f: impl Fn(u64, u64) -> u64) -> ExecStats {
         ExecStats {
-            rows_scanned: self.rows_scanned - earlier.rows_scanned,
-            index_probes: self.index_probes - earlier.index_probes,
-            subqueries: self.subqueries - earlier.subqueries,
-            seq_scans: self.seq_scans - earlier.seq_scans,
-            rows_output: self.rows_output - earlier.rows_output,
-            exists_builds: self.exists_builds - earlier.exists_builds,
-            exists_probes: self.exists_probes - earlier.exists_probes,
-            join_hash_builds: self.join_hash_builds - earlier.join_hash_builds,
-            join_hash_probes: self.join_hash_probes - earlier.join_hash_probes,
-            planner_reorders: self.planner_reorders - earlier.planner_reorders,
+            rows_scanned: f(self.rows_scanned, other.rows_scanned),
+            index_probes: f(self.index_probes, other.index_probes),
+            subqueries: f(self.subqueries, other.subqueries),
+            seq_scans: f(self.seq_scans, other.seq_scans),
+            rows_output: f(self.rows_output, other.rows_output),
+            exists_builds: f(self.exists_builds, other.exists_builds),
+            exists_probes: f(self.exists_probes, other.exists_probes),
+            join_hash_builds: f(self.join_hash_builds, other.join_hash_builds),
+            join_hash_probes: f(self.join_hash_probes, other.join_hash_probes),
+            planner_reorders: f(self.planner_reorders, other.planner_reorders),
         }
     }
 }
@@ -84,6 +93,13 @@ pub fn reset_stats() {
     STATS.with(|s| s.set(ExecStats::default()));
 }
 
+/// Add `delta` to the thread's execution statistics: how work done on
+/// other threads on this thread's behalf (a sharded corpus sweep) is
+/// reported where the caller reads it.
+pub fn add_stats(delta: &ExecStats) {
+    bump(|s| *s = s.plus(delta));
+}
+
 pub(crate) fn bump(f: impl FnOnce(&mut ExecStats)) {
     STATS.with(|s| {
         let mut v = s.get();
@@ -103,50 +119,54 @@ struct Binding<'t> {
     row: Vec<Value>,
 }
 
-thread_local! {
-    static DECORRELATE_OVERRIDE: Cell<Option<u32>> = const { Cell::new(None) };
+/// The execution settings a statement runs under. A [`Database`]
+/// holds one value ([`Database::options`]) that its clones, snapshots
+/// and staging forks inherit; the executor reads it once per statement.
+/// The default is the served configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExecOptions {
+    /// Equality and IN-list conjuncts over indexed columns become hash
+    /// index probes. Off, every scan level is sequential (the
+    /// index-ablation knob); indexes are still maintained.
+    pub indexes: bool,
+    /// Multi-table SELECTs go through the cost-based join planner. Off,
+    /// they scan in literal FROM order with the index-probed nested
+    /// loop, the baseline the join bench measures against.
+    pub planner: bool,
+    /// Eligible single-table SELECTs run on the columnar batch
+    /// executor. The row-at-a-time engine is the fallback for every
+    /// shape the batch compiler rejects, and the differential fuzzer
+    /// turns this off to run both executors over identical inputs.
+    pub columnar: bool,
+    /// Force the evaluation-count decorrelation rule: `Some(k)` runs
+    /// the first `k + 1` evaluations of an EXISTS node correlated and
+    /// decorrelates on the next, so `Some(0)` decorrelates every
+    /// eligible EXISTS on its second evaluation and `Some(u32::MAX)`
+    /// pins the correlated nested loop. `None` keeps the break-even
+    /// rule: a node decorrelates once its correlated evaluations have
+    /// visited more rows than a build scan would read.
+    pub decorrelate_after: Option<u32>,
+    /// Collect a per-operator [`Profile`] for every SELECT, retrievable
+    /// with [`take_last_profile`]. Profiling is observation-only:
+    /// results, execution strategy and [`ExecStats`] are identical
+    /// either way.
+    pub profile: bool,
 }
 
-/// Force the evaluation-count decorrelation rule on this thread:
-/// `Some(k)` runs the first `k + 1` evaluations of an EXISTS node
-/// correlated and decorrelates on the next, so `Some(0)` decorrelates
-/// every eligible EXISTS on its second evaluation and `Some(u32::MAX)`
-/// pins the correlated nested loop. `None` restores the default
-/// break-even rule: a node decorrelates once its correlated evaluations
-/// have visited more rows than a build scan would read. The metamorphic
-/// differential tests use the two extremes to force both execution
-/// strategies over identical data.
-pub fn set_decorrelate_after(threshold: Option<u32>) {
-    DECORRELATE_OVERRIDE.with(|t| t.set(threshold));
-}
-
-/// The evaluation-count override in effect on this thread; `None`
-/// means the break-even rule decides.
-pub fn decorrelate_override() -> Option<u32> {
-    DECORRELATE_OVERRIDE.with(|t| t.get())
-}
-
-thread_local! {
-    /// Whether eligible single-table SELECTs run on the columnar
-    /// batch executor (on by default). The row-at-a-time engine is the
-    /// fallback for every shape the batch compiler rejects, and the
-    /// differential fuzzer flips this knob to run both executors over
-    /// identical inputs.
-    static COLUMNAR: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Enable or disable the columnar batch executor on this thread.
-pub fn set_columnar(on: bool) {
-    COLUMNAR.with(|c| c.set(on));
-}
-
-/// Whether the columnar batch executor is enabled on this thread.
-pub fn columnar_enabled() -> bool {
-    COLUMNAR.with(|c| c.get())
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            indexes: true,
+            planner: true,
+            columnar: true,
+            decorrelate_after: None,
+            profile: false,
+        }
+    }
 }
 
 /// Adaptive decorrelation state plus join-planning state, one per
-/// statement execution.
+/// statement execution, with the options the statement runs under.
 ///
 /// A correlated EXISTS costs a subquery scan per candidate outer row.
 /// Once the rows one node's correlated evaluations have visited
@@ -163,6 +183,8 @@ pub fn columnar_enabled() -> bool {
 /// subquery re-entered per outer row reuses its plan and build work.
 #[derive(Default)]
 struct ExistsMemo<'p> {
+    /// The options this execution runs under.
+    opts: ExecOptions,
     /// Keyed by the subquery node's address, stable for one execution.
     states: RefCell<HashMap<usize, MemoState>>,
     /// Rows visited by scan levels since the innermost EXISTS evaluation
@@ -289,37 +311,41 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Run a SELECT with bound parameter values for `?`/`:name` slots.
+/// Run a SELECT with bound parameter values for `?`/`:name` slots,
+/// under the database's options.
 pub fn run_select_bound(
     db: &Database,
     stmt: &SelectStmt,
     params: &[Value],
 ) -> Result<QueryResult, DbError> {
-    run_select_with_plans(db, stmt, params, None)
+    run_select_with_plans(db, stmt, params, None, db.options())
 }
 
-/// Run a SELECT, caching join plans in `plans` (a prepared statement's
-/// per-node cache) when supplied; ad-hoc runs plan per execution.
+/// Run a SELECT under `opts`, caching join plans in `plans` (a prepared
+/// statement's per-node cache) when supplied; ad-hoc runs plan per
+/// execution.
 pub(crate) fn run_select_with_plans(
     db: &Database,
     stmt: &SelectStmt,
     params: &[Value],
     plans: Option<&JoinPlanCache>,
+    opts: ExecOptions,
 ) -> Result<QueryResult, DbError> {
     LAST_STRATEGY.with(|s| *s.borrow_mut() = None);
     LAST_PROFILE.with(|s| *s.borrow_mut() = None);
     // Batch-eligible single-table statements run on the columnar
     // executor; everything it declines falls through to the row engine
     // below with no work lost.
-    if columnar_enabled() {
-        if let Some(result) = crate::columnar::try_select(db, stmt, params)? {
+    if opts.columnar {
+        if let Some(result) = crate::columnar::try_select(db, stmt, params, opts)? {
             bump(|s| s.rows_output += result.rows.len() as u64);
             return Ok(result);
         }
     }
     let memo = ExistsMemo {
+        opts,
         shared_plans: plans,
-        profiler: profiling_enabled().then(Collector::new),
+        profiler: opts.profile.then(Collector::new),
         ..ExistsMemo::default()
     };
     let root = Env::root(params, &memo);
@@ -339,8 +365,6 @@ thread_local! {
     /// Strategy summary of the last planned top-level SELECT on this
     /// thread, consumed by the slow-query log.
     static LAST_STRATEGY: RefCell<Option<String>> = const { RefCell::new(None) };
-    /// Whether SELECTs on this thread run with the profiler attached.
-    static PROFILING: Cell<bool> = const { Cell::new(false) };
     /// Profile of the last profiled SELECT on this thread, consumed by
     /// `EXPLAIN ANALYZE` and the slow-query log.
     static LAST_PROFILE: RefCell<Option<Profile>> = const { RefCell::new(None) };
@@ -350,20 +374,6 @@ thread_local! {
 /// top-level multi-table SELECT executed on this thread.
 pub fn take_last_join_strategy() -> Option<String> {
     LAST_STRATEGY.with(|s| s.borrow_mut().take())
-}
-
-/// Enable or disable per-operator execution profiling for SELECTs on
-/// this thread. Off by default; when on, every execution collects a
-/// [`Profile`] retrievable with [`take_last_profile`]. Profiling is
-/// observation-only: results, execution strategy, and [`ExecStats`]
-/// counters are identical either way.
-pub fn set_profiling(on: bool) {
-    PROFILING.with(|p| p.set(on));
-}
-
-/// Whether profiling is enabled on this thread.
-pub fn profiling_enabled() -> bool {
-    PROFILING.with(|p| p.get())
 }
 
 /// Take (and clear) the execution profile of the last profiled SELECT
@@ -385,10 +395,10 @@ pub(crate) fn set_last_profile(profile: Profile) {
 }
 
 /// Fetch (or compute and cache) the join plan for one SELECT node.
-/// Single-table selects and planner-off databases skip planning — the
+/// Single-table selects and planner-off executions skip planning — the
 /// translated EXISTS workload stays on its unchanged fast path.
 fn plan_for(db: &Database, stmt: &SelectStmt, memo: &ExistsMemo<'_>) -> Option<Arc<JoinPlan>> {
-    if stmt.from.len() < 2 || !db.use_planner() {
+    if stmt.from.len() < 2 || !memo.opts.planner {
         return None;
     }
     let node = stmt as *const SelectStmt as usize;
@@ -421,24 +431,6 @@ fn plan_for(db: &Database, stmt: &SelectStmt, memo: &ExistsMemo<'_>) -> Option<A
 /// on. The wrapper keeps the collector's stack balanced on the error
 /// path (an error aborts the execution, but attribution of the partial
 /// work stays well-formed).
-/// The `Join order: ...` annotation attached to a planned node's
-/// profile, matching the EXPLAIN rendering.
-fn order_line(plan: &JoinPlan, stmt: &SelectStmt) -> String {
-    let names: Vec<&str> = plan
-        .order
-        .iter()
-        .map(|&i| stmt.from[i].binding_name())
-        .collect();
-    let mode = if plan.no_stats {
-        "FROM order, no stats"
-    } else if plan.reordered {
-        "cost-based"
-    } else {
-        "cost-based, FROM order"
-    };
-    format!("Join order: {} ({mode})", names.join(", "))
-}
-
 fn select_with_env(
     db: &Database,
     stmt: &SelectStmt,
@@ -493,7 +485,7 @@ fn select_body(db: &Database, stmt: &SelectStmt, outer: &Env<'_>) -> Result<Quer
             LAST_STRATEGY.with(|s| *s.borrow_mut() = Some(p.describe(stmt)));
         }
         if let Some(c) = &outer.memo.profiler {
-            c.set_order(order_line(p, stmt));
+            c.set_order(p.order_line(stmt));
         }
     }
     let scan_tables: Vec<(&TableRef, &Table)> = match &plan {
@@ -631,7 +623,7 @@ fn join_scan<'t>(
 
     // Try index probe: collect equality conjuncts `this.col = expr`
     // where expr is evaluable from already-bound tables + outer env.
-    let candidate_rows: Option<(Vec<usize>, ProbeProfile)> = if db.use_indexes() {
+    let candidate_rows: Option<(Vec<usize>, ProbeProfile)> = if outer.memo.opts.indexes {
         probe_rows(db, tref, table, filter, bound.as_slice(), outer)?
     } else {
         None
@@ -1075,13 +1067,15 @@ pub(crate) fn probe_candidates(
     table: &Table,
     filter: Option<&Expr>,
     params: &[Value],
-    want_label: bool,
+    opts: ExecOptions,
 ) -> Result<Option<CandidateProbe>, DbError> {
-    if !db.use_indexes() {
+    if !opts.indexes {
         return Ok(None);
     }
+    // A profiled execution wants the probe's label.
     let memo = ExistsMemo {
-        profiler: want_label.then(Collector::new),
+        opts,
+        profiler: opts.profile.then(Collector::new),
         ..ExistsMemo::default()
     };
     let root = Env::root(params, &memo);
@@ -1484,7 +1478,7 @@ fn visit_row(memo: &ExistsMemo<'_>) {
 /// runs a few dozen index-probed evaluations never hashes a
 /// corpus-wide table, while a corpus scan decorrelates once it has
 /// visited about one table's worth of rows. A forced evaluation count
-/// ([`set_decorrelate_after`]) replaces the break-even test.
+/// ([`ExecOptions::decorrelate_after`]) replaces the break-even test.
 fn exists(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bool, DbError> {
     let Some(profiler) = &env.memo.profiler else {
         return exists_dispatch(db, stmt, env);
@@ -1530,7 +1524,7 @@ fn exists_dispatch(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<bo
                     build_rows,
                 } => {
                     *evals += 1;
-                    let build = match decorrelate_override() {
+                    let build = match env.memo.opts.decorrelate_after {
                         Some(after) => *evals > after,
                         None => *cost > *build_rows,
                     };
@@ -1595,7 +1589,7 @@ fn exists_correlated(db: &Database, stmt: &SelectStmt, env: &Env<'_>) -> Result<
     }
     let plan = plan_for(db, stmt, env.memo);
     if let (Some(c), Some(p)) = (&env.memo.profiler, &plan) {
-        c.set_order(order_line(p, stmt));
+        c.set_order(p.order_line(stmt));
     }
     let scan_tables: Vec<(&TableRef, &Table)> = match &plan {
         Some(p) => p.order.iter().map(|&i| tables[i]).collect(),
@@ -1880,7 +1874,10 @@ fn classify_columns(
 /// Evaluate a scalar expression with bound parameter values but no
 /// table context (parameterized INSERT/UPDATE values).
 pub fn eval_const_bound(db: &Database, expr: &Expr, params: &[Value]) -> Result<Value, DbError> {
-    let memo = ExistsMemo::default();
+    let memo = ExistsMemo {
+        opts: db.options(),
+        ..ExistsMemo::default()
+    };
     let root = Env::root(params, &memo);
     eval_value(db, expr, &root)
 }

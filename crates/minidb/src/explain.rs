@@ -17,7 +17,7 @@
 
 use crate::database::Database;
 use crate::error::DbError;
-use crate::exec;
+use crate::exec::{self, ExecOptions};
 use crate::plan::{plan_select, JoinOp};
 use crate::sql::ast::{CompareOp, Expr, SelectStmt, Statement};
 use crate::sql::parse_statement;
@@ -33,10 +33,10 @@ pub fn explain(db: &Database, sql: &str) -> Result<String, DbError> {
     Ok(out)
 }
 
-/// Execute a SELECT with per-operator profiling enabled and render the
-/// analyzed plan. The profiling flag is restored afterwards, so an
-/// `EXPLAIN ANALYZE` in the middle of an unprofiled workload leaves no
-/// trace beyond the statement it executed.
+/// Execute a SELECT with [`ExecOptions::profile`] on for this statement
+/// only and render the analyzed plan, so an `EXPLAIN ANALYZE` in the
+/// middle of an unprofiled workload leaves no trace beyond the
+/// statement it executed.
 pub fn explain_analyze(db: &Database, sql: &str) -> Result<String, DbError> {
     let stmt = parse_statement(sql)?;
     let Statement::Select(select) = stmt else {
@@ -44,11 +44,11 @@ pub fn explain_analyze(db: &Database, sql: &str) -> Result<String, DbError> {
             "EXPLAIN ANALYZE requires a SELECT".to_string(),
         ));
     };
-    let was_profiling = exec::profiling_enabled();
-    exec::set_profiling(true);
-    let result = exec::run_select_bound(db, &select, &[]);
-    exec::set_profiling(was_profiling);
-    result?;
+    let profiled = ExecOptions {
+        profile: true,
+        ..db.options()
+    };
+    exec::run_select_with_plans(db, &select, &[], None, profiled)?;
     exec::take_last_profile()
         .map(|p| p.render())
         .ok_or_else(|| DbError::Execution("no profile was collected".to_string()))
@@ -82,7 +82,7 @@ fn explain_select(
     out.push('\n');
 
     let mut visible: Vec<String> = outer_names.to_vec();
-    let plan = if select.from.len() >= 2 && db.use_planner() {
+    let plan = if select.from.len() >= 2 && db.options().planner {
         plan_select(db, select)
     } else {
         None
@@ -90,23 +90,9 @@ fn explain_select(
     if let Some(plan) = plan {
         // Cost-based path: render the chosen order, then one operator
         // per level in scan order.
-        let order_names: Vec<&str> = plan
-            .order
-            .iter()
-            .map(|&i| select.from[i].binding_name())
-            .collect();
-        let mode = if plan.no_stats {
-            "FROM order, no stats"
-        } else if plan.reordered {
-            "cost-based"
-        } else {
-            "cost-based, FROM order"
-        };
         indent(out, depth + 1);
-        out.push_str(&format!(
-            "Join order: {} ({mode})\n",
-            order_names.join(", ")
-        ));
+        out.push_str(&plan.order_line(select));
+        out.push('\n');
         for (level, &i) in plan.order.iter().enumerate() {
             let tref = &select.from[i];
             let table = db
@@ -156,7 +142,7 @@ fn explain_select(
                 &visible,
                 i == 0,
             );
-            let access = if db.use_indexes() {
+            let access = if db.options().indexes {
                 best_index(table, &eq_cols)
             } else {
                 None
@@ -415,7 +401,10 @@ mod tests {
     #[test]
     fn disabled_indexes_show_scans_everywhere() {
         let mut d = db();
-        d.set_use_indexes(false);
+        d.set_options(ExecOptions {
+            indexes: false,
+            ..ExecOptions::default()
+        });
         let plan = explain(&d, "SELECT name FROM policy WHERE policy_id = 1").unwrap();
         assert!(plan.contains("seq scan"), "{plan}");
         assert!(!plan.contains("index nested loop"), "{plan}");
@@ -507,7 +496,10 @@ mod tests {
     #[test]
     fn planner_disabled_renders_from_order_without_order_line() {
         let mut d = join_db();
-        d.set_use_planner(false);
+        d.set_options(ExecOptions {
+            planner: false,
+            ..ExecOptions::default()
+        });
         let plan = explain(&d, "SELECT * FROM big b, small s WHERE b.k = s.k").unwrap();
         assert!(!plan.contains("Join order:"), "{plan}");
         assert!(plan.contains("seq scan big AS b (100 rows)"), "{plan}");
@@ -595,10 +587,12 @@ mod tests {
         // The forced count rule at 8: the first 8 EXISTS evaluations
         // run correlated, the 9th builds the hash set, and the
         // remaining 12 answer by probing it.
-        exec::set_decorrelate_after(Some(8));
-        let forced = explain_analyze(&db, sql);
-        exec::set_decorrelate_after(None);
-        let forced = forced.unwrap();
+        let mut forced_db = db.clone();
+        forced_db.set_options(ExecOptions {
+            decorrelate_after: Some(8),
+            ..ExecOptions::default()
+        });
+        let forced = explain_analyze(&forced_db, sql).unwrap();
         assert!(forced.contains("Select (rows=10 loops=1)"), "{forced}");
         assert!(
             forced.contains("seq scan outer_t AS o (planned=20 rows=20 loops=1)"),
@@ -630,10 +624,10 @@ mod tests {
     }
 
     #[test]
-    fn analyze_restores_the_profiling_flag_and_rejects_non_selects() {
-        assert!(!exec::profiling_enabled());
-        explain_analyze(&db(), "SELECT name FROM policy").unwrap();
-        assert!(!exec::profiling_enabled());
+    fn analyze_leaves_the_options_alone_and_rejects_non_selects() {
+        let d = db();
+        explain_analyze(&d, "SELECT name FROM policy").unwrap();
+        assert!(!d.options().profile);
         assert!(exec::take_last_profile().is_none(), "profile consumed");
         assert!(explain_analyze(&db(), "DELETE FROM policy").is_err());
     }

@@ -22,8 +22,8 @@
 //!
 //! Execution is nested-loop with hash-index acceleration: equality
 //! conjuncts against indexed columns (including values bound by outer
-//! queries) become index probes. [`Database::set_use_indexes`] turns
-//! this off for the suite's index-ablation bench.
+//! queries) become index probes. [`ExecOptions::indexes`] turns this
+//! off for the suite's index-ablation bench.
 //!
 //! Tables are stored as typed columns in chunks of 1024 rows, each
 //! chunk with its own validity bitmap and each shared copy-on-write,
@@ -35,7 +35,7 @@
 //! packed three-valued selection vectors, falling back to the
 //! row-at-a-time interpreter (rows are cheap views onto the columns)
 //! for anything the kernels cannot reproduce exactly.
-//! [`exec::set_columnar`] pins the interpreter for differential
+//! [`ExecOptions::columnar`] pins the interpreter for differential
 //! testing.
 //!
 //! Multi-table SELECTs additionally go through a cost-based join
@@ -43,8 +43,13 @@
 //! distinct-key counts read off the hash indexes) drive a greedy
 //! most-selective-first join-order search, and join levels whose equi-
 //! join columns no index covers run as hash joins instead of nested
-//! loops. [`explain`] renders the chosen order and per-level operator;
-//! [`Database::set_use_planner`] reverts to literal FROM order.
+//! loops. [`explain()`] renders the chosen order and per-level operator;
+//! [`ExecOptions::planner`] reverts to literal FROM order.
+//!
+//! Every execution setting lives in one [`ExecOptions`] value held by
+//! the [`Database`] ([`Database::options`], [`Database::set_options`]):
+//! clones, snapshots and staging forks inherit it, so a setting means
+//! the same thing on every thread that runs a clone.
 //!
 //! ## Example
 //!
@@ -75,6 +80,7 @@ pub mod value;
 
 pub use database::{Database, ExecOutcome, QueryResult};
 pub use error::DbError;
+pub use exec::ExecOptions;
 pub use explain::{explain, explain_analyze};
 pub use plan::{JoinOp, JoinPlan, JoinPlanCache, PlanCacheStats, Prepared, PLAN_DRIFT_FACTOR};
 pub use profile::{Profile, ProfileNode, OP_KINDS};

@@ -308,7 +308,7 @@ pub struct JoinPlan {
     /// statistics to rank on, the planner keeps FROM order.
     pub no_stats: bool,
     /// `(lowercased table name, row count)` observed at plan time,
-    /// consumed by [`JoinPlanCache::check_drift`].
+    /// consumed by the plan cache's drift check.
     pub planned_rows: Vec<(String, usize)>,
 }
 
@@ -322,6 +322,24 @@ impl JoinPlan {
             parts.push(format!("{binding}: {}", self.ops[level]));
         }
         parts.join(", ")
+    }
+
+    /// The `Join order: ...` line EXPLAIN prints and a profiled
+    /// execution attaches to the planned node.
+    pub(crate) fn order_line(&self, stmt: &SelectStmt) -> String {
+        let names: Vec<&str> = self
+            .order
+            .iter()
+            .map(|&i| stmt.from[i].binding_name())
+            .collect();
+        let mode = if self.no_stats {
+            "FROM order, no stats"
+        } else if self.reordered {
+            "cost-based"
+        } else {
+            "cost-based, FROM order"
+        };
+        format!("Join order: {} ({mode})", names.join(", "))
     }
 }
 
@@ -632,7 +650,7 @@ pub(crate) fn plan_select(db: &Database, stmt: &SelectStmt) -> Option<Arc<JoinPl
             .filter(|(t, _, needs)| *t == i && needs & !prefix == 0)
             .map(|(_, c, _)| *c)
             .collect();
-        let covered = if db.use_indexes() {
+        let covered = if db.options().indexes {
             best_covered_index(tables[i], &eq_cols, &in_cols)
         } else {
             None

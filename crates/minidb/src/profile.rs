@@ -1,14 +1,15 @@
 //! Per-operator execution profiling — the engine behind
 //! `EXPLAIN ANALYZE`.
 //!
-//! When profiling is enabled ([`crate::exec::set_profiling`] or a
-//! `*_profiled` entry point), the executor threads a [`Collector`]
-//! through one statement execution and records, for every operator it
+//! When a statement runs with [`crate::ExecOptions::profile`] on (set
+//! on the database, or for one statement by a `*_profiled` entry point
+//! or `EXPLAIN ANALYZE`), the executor threads a `Collector`
+//! through the execution and records, for every operator it
 //! runs — seq scans, index and IN-list probes, hash-join builds and
 //! probes, EXISTS subqueries (correlated, set-probed, or freshly
 //! decorrelated), filters, and DISTINCT — the actual rows it produced,
 //! how many times it looped, and its cumulative inclusive wall time.
-//! [`Collector::finish`] folds those records into a [`Profile`] tree
+//! `Collector::finish` folds those records into a [`Profile`] tree
 //! mirroring the plan shape, which renders as the analyzed plan and
 //! feeds the per-operator histograms and the actual-vs-estimated rows
 //! drift signal.

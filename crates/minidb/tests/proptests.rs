@@ -6,7 +6,7 @@
 //! generator. Coverage is equivalent in spirit: every case that fails
 //! reproduces from its printed seed.
 
-use p3p_minidb::{Database, Value};
+use p3p_minidb::{Database, ExecOptions, Value};
 
 /// SplitMix64 — the same generator `p3p_workload::rng` uses.
 struct TestRng(u64);
@@ -76,7 +76,10 @@ fn index_use_is_semantically_invisible() {
         let probe = rng.index(50) as i64;
         let db = build_db(&parents, &children);
         let mut db_slow = build_db(&parents, &children);
-        db_slow.set_use_indexes(false);
+        db_slow.set_options(ExecOptions {
+            indexes: false,
+            ..ExecOptions::default()
+        });
         let queries = [
             format!("SELECT * FROM child WHERE parent_id = {probe}"),
             format!(

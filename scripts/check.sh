@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -30,7 +33,7 @@ cargo bench -p p3p-bench --bench columnar -- --test
 
 echo "==> repro --table bulk (bulk-over-loop + columnar-over-row speedup floors)"
 cargo run -q --release -p p3p-bench --bin repro -- --table bulk > /dev/null
-grep -q '"columnar_speedup"' BENCH_bulk.json
+grep -q '"columnar_speedup"' target/bench/BENCH_bulk.json
 
 echo "==> bench smoke (join, single iteration)"
 cargo bench -p p3p-bench --bench join -- --test
@@ -52,9 +55,9 @@ cargo bench -p p3p-bench --bench churn -- --test
 
 echo "==> repro --table churn (verdict-cache hit-rate + cached-speedup floors)"
 cargo run -q --release -p p3p-bench --bin repro -- --table churn > /dev/null
-grep -q '"hit_rate"' BENCH_churn.json
-grep -q '"speedup"' BENCH_churn.json
-grep -q '"cache_invalidations"' BENCH_churn.json
+grep -q '"hit_rate"' target/bench/BENCH_churn.json
+grep -q '"speedup"' target/bench/BENCH_churn.json
+grep -q '"cache_invalidations"' target/bench/BENCH_churn.json
 
 echo "==> bench smoke (serve, single iteration)"
 cargo bench -p p3p-bench --bench serve -- --test
@@ -62,14 +65,14 @@ cargo bench -p p3p-bench --bench serve -- --test
 echo "==> repro --table serve (sustained-QPS floor + zero-dropped-drain gate)"
 P3P_SERVE_POLICIES=2000 P3P_SERVE_SECS=3 \
   cargo run -q --release -p p3p-bench --bin repro -- --table serve > /dev/null
-grep -q '"qps_floor_met": true' BENCH_serve.json
-grep -q '"drain_clean": true' BENCH_serve.json
-grep -q '"lost": 0' BENCH_serve.json
+grep -q '"qps_floor_met": true' target/bench/BENCH_serve.json
+grep -q '"drain_clean": true' target/bench/BENCH_serve.json
+grep -q '"lost": 0' target/bench/BENCH_serve.json
 
 echo "==> repro --table profile (profiler-off overhead gate, 1.10x)"
 cargo run -q --release -p p3p-bench --bin repro -- --table profile > /dev/null
-test -s BENCH_profile.json
-grep -q '"off_overhead"' BENCH_profile.json
+test -s target/bench/BENCH_profile.json
+grep -q '"off_overhead"' target/bench/BENCH_profile.json
 
 echo "==> repro --trace-out (Chrome trace-event schema sanity)"
 cargo run -q --release -p p3p-bench --bin repro -- --trace-out target/trace.json > /dev/null

@@ -12,6 +12,7 @@
 //! stream of pseudo-random cases from an inline SplitMix64 generator.
 
 use p3p_suite::appel::model::{Behavior, Connective, Expr, Rule, Ruleset};
+use p3p_suite::minidb::ExecOptions;
 use p3p_suite::policy::model::{DataGroup, DataRef, Policy, PurposeUse, RecipientUse, Statement};
 use p3p_suite::policy::vocab::{Category, Purpose, Recipient, Required, Retention};
 use p3p_suite::server::{EngineKind, PolicyServer, Target};
@@ -372,7 +373,10 @@ fn join_order_permutations_agree() {
     }
     let db = server.database().clone();
     let mut db_noplan = db.clone();
-    db_noplan.set_use_planner(false);
+    db_noplan.set_options(ExecOptions {
+        planner: false,
+        ..ExecOptions::default()
+    });
     let sorted = |mut rows: Vec<Vec<p3p_suite::minidb::Value>>| {
         rows.sort_by_key(|r| format!("{r:?}"));
         rows
@@ -429,7 +433,10 @@ fn planner_does_not_change_verdicts() {
         planned.install_policy(&policy).unwrap();
         let mut unplanned = PolicyServer::new();
         unplanned.install_policy(&policy).unwrap();
-        unplanned.database_mut().set_use_planner(false);
+        unplanned.database_mut().set_options(ExecOptions {
+            planner: false,
+            ..ExecOptions::default()
+        });
         for engine in [EngineKind::Sql, EngineKind::SqlGeneric] {
             let vp = planned
                 .match_preference(&ruleset, Target::Policy("generated"), engine)
@@ -453,7 +460,10 @@ fn indexes_do_not_change_verdicts() {
         fast.install_policy(&policy).unwrap();
         let mut slow = PolicyServer::new();
         slow.install_policy(&policy).unwrap();
-        slow.database_mut().set_use_indexes(false);
+        slow.database_mut().set_options(ExecOptions {
+            indexes: false,
+            ..ExecOptions::default()
+        });
         let vf = fast
             .match_preference(&ruleset, Target::Policy("generated"), EngineKind::Sql)
             .unwrap();

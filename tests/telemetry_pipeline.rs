@@ -142,8 +142,14 @@ fn join_planner_counters_are_exported() {
 /// database metrics into both registry renderings, with HELP text.
 #[test]
 fn exists_decorrelation_counters_are_exported() {
-    use p3p_suite::minidb::{exec, Database};
+    use p3p_suite::minidb::{Database, ExecOptions};
+    // The row engine: the unindexed correlation passes break-even on its
+    // second evaluation and builds on the third.
     let mut db = Database::new();
+    db.set_options(ExecOptions {
+        columnar: false,
+        ..ExecOptions::default()
+    });
     db.execute("CREATE TABLE eouter (id INT NOT NULL)").unwrap();
     db.execute("CREATE TABLE einner (oid INT NOT NULL)")
         .unwrap();
@@ -158,13 +164,9 @@ fn exists_decorrelation_counters_are_exported() {
     let builds = metrics::counter("p3p_db_exists_builds_total");
     let probes = metrics::counter("p3p_db_exists_probes_total");
     let (builds_before, probes_before) = (builds.get(), probes.get());
-    // The row engine: the unindexed correlation passes break-even on its
-    // second evaluation and builds on the third.
-    exec::set_columnar(false);
     let r = db.query(
         "SELECT o.id FROM eouter o WHERE EXISTS (SELECT * FROM einner i WHERE i.oid = o.id)",
     );
-    exec::set_columnar(true);
     assert_eq!(r.unwrap().rows.len(), 10);
     assert!(builds.get() > builds_before);
     assert!(probes.get() >= probes_before + 18);
