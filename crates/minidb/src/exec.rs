@@ -51,11 +51,6 @@ impl ExecStats {
         self.zip(earlier, |a, b| a - b)
     }
 
-    /// Field-wise sum: the work of two executions together.
-    pub fn plus(&self, other: &ExecStats) -> ExecStats {
-        self.zip(other, |a, b| a + b)
-    }
-
     fn zip(&self, other: &ExecStats, f: impl Fn(u64, u64) -> u64) -> ExecStats {
         ExecStats {
             rows_scanned: f(self.rows_scanned, other.rows_scanned),
@@ -97,7 +92,7 @@ pub fn reset_stats() {
 /// other threads on this thread's behalf (a sharded corpus sweep) is
 /// reported where the caller reads it.
 pub fn add_stats(delta: &ExecStats) {
-    bump(|s| *s = s.plus(delta));
+    bump(|s| *s = s.zip(delta, |a, b| a + b));
 }
 
 pub(crate) fn bump(f: impl FnOnce(&mut ExecStats)) {
