@@ -853,32 +853,29 @@ impl PolicyServer {
         let roster = self.roster(subset)?;
         let fingerprint = TranslationCache::fingerprint(ruleset);
         let key_of = |id: i64| self.verdict_key(fingerprint, id, engine);
-        let mut hits: HashMap<String, Verdict> = HashMap::new();
+        let mut decided: HashMap<String, Verdict> = HashMap::new();
         let mut missed: Vec<String> = Vec::new();
         for (id, name) in &roster {
             match self.verdicts.get(&key_of(*id)) {
                 Some(verdict) => {
-                    hits.insert(name.clone(), verdict);
+                    decided.insert(name.clone(), verdict);
                 }
                 None => missed.push(name.clone()),
             }
         }
-        let mut computed: HashMap<String, Verdict> = HashMap::new();
         if !missed.is_empty() {
             for (name, verdict) in self.bulk_dispatch(ruleset, engine, Some(&missed))? {
                 if let Some(id) = self.policy_id(&name) {
                     self.verdicts.insert(key_of(id), verdict.clone());
                 }
-                computed.insert(name, verdict);
+                decided.insert(name, verdict);
             }
         }
         Ok(roster
             .into_iter()
             .map(|(_, name)| {
-                let verdict = hits
-                    .get(&name)
-                    .or_else(|| computed.get(&name))
-                    .cloned()
+                let verdict = decided
+                    .remove(&name)
                     .expect("every roster entry is either a hit or was computed");
                 (name, verdict)
             })

@@ -1717,6 +1717,25 @@ mod tests {
     }
 
     #[test]
+    fn clones_with_and_without_indexes_never_share_a_join_plan() {
+        let mut db = join_db();
+        db.execute("CREATE INDEX idx_jbig_k ON jbig (k)").unwrap();
+        let join = |d: &Database| {
+            exec::take_stats();
+            d.query("SELECT b.v FROM jbig b, jsmall s WHERE b.k = s.k")
+                .unwrap();
+            let s = exec::take_stats();
+            (s.join_hash_builds, s.index_probes)
+        };
+        // The clone plans first, then the parent, then the clone again:
+        // each side runs its own plan, never the one the other cached.
+        let off = tuned(&db, |o| o.indexes = false);
+        assert_eq!(join(&off), (1, 0));
+        assert_eq!(join(&db), (0, 2));
+        assert_eq!(join(&off), (1, 0));
+    }
+
+    #[test]
     fn planner_reorder_and_hash_join_are_observable() {
         let db = join_db();
         exec::take_stats();

@@ -397,7 +397,10 @@ fn plan_for(db: &Database, stmt: &SelectStmt, memo: &ExistsMemo<'_>) -> Option<A
         return None;
     }
     let node = stmt as *const SelectStmt as usize;
-    if let Some(shared) = memo.shared_plans {
+    // A prepared statement's plans are shared by every clone of the
+    // database and costed with indexes on; an indexes-off execution
+    // plans for itself, so neither runs a plan costed for the other.
+    if let Some(shared) = memo.shared_plans.filter(|_| memo.opts.indexes) {
         if let Some(plan) = shared.get(node) {
             return Some(plan);
         }
