@@ -65,7 +65,7 @@ fn main() {
     }
 
     println!("sql_index_ablation");
-    let mut with_indexes = setup_server(p3p_bench::DEFAULT_SEED);
+    let with_indexes = setup_server(p3p_bench::DEFAULT_SEED);
     let names = with_indexes.policy_names();
     bench("hash_indexes_on", 20, || {
         for name in names.iter().take(5) {

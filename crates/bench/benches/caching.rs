@@ -46,7 +46,7 @@ fn main() {
         bench(engine.label(), iters(20), || {
             for name in &names {
                 server
-                    .match_preference_snapshot(&ruleset, Target::Policy(name), engine)
+                    .match_preference(&ruleset, Target::Policy(name), engine)
                     .unwrap();
             }
         });
@@ -84,7 +84,7 @@ fn main() {
     // through a small set of stable statement texts, so the plan cache
     // must absorb well over half of all prepares.
     let stats = server.database().plan_cache_stats();
-    let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
+    let hit_rate = stats.hit_rate();
     println!(
         "plan cache: {} hits / {} misses ({:.1}% hit rate)",
         stats.hits,

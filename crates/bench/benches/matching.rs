@@ -28,7 +28,7 @@ fn bench(label: &str, iters: u32, mut f: impl FnMut()) {
 }
 
 fn main() {
-    let mut server = setup_server(p3p_bench::DEFAULT_SEED);
+    let server = setup_server(p3p_bench::DEFAULT_SEED);
     let names = server.policy_names();
     let suite: Vec<_> = Sensitivity::ALL.iter().map(|s| (*s, s.ruleset())).collect();
 

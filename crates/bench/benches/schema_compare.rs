@@ -30,7 +30,7 @@ fn bench(label: &str, iters: u32, mut f: impl FnMut()) {
 }
 
 fn main() {
-    let mut server = setup_server(p3p_bench::DEFAULT_SEED);
+    let server = setup_server(p3p_bench::DEFAULT_SEED);
     let names = server.policy_names();
     let ruleset = Sensitivity::High.ruleset();
 

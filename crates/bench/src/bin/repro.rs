@@ -119,12 +119,7 @@ fn main() {
             );
             caching_ok = false;
         }
-        let p = &report.plans;
-        let hit_rate = if p.hits + p.misses == 0 {
-            0.0
-        } else {
-            p.hits as f64 / (p.hits + p.misses) as f64
-        };
+        let hit_rate = report.plans.hit_rate();
         if hit_rate < 0.5 {
             eprintln!("error: plan-cache hit rate {hit_rate:.4} is below the 0.5 floor");
             caching_ok = false;

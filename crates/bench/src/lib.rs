@@ -472,8 +472,8 @@ impl EngineCaching {
 #[derive(Debug, Clone)]
 pub struct CachingReport {
     pub rows: Vec<EngineCaching>,
-    pub translation: p3p_server::translation::TranslationCacheStats,
-    pub plans: p3p_minidb::PlanCacheStats,
+    pub translation: p3p_minidb::CacheStats,
+    pub plans: p3p_minidb::CacheStats,
 }
 
 impl CachingReport {
@@ -507,7 +507,7 @@ pub fn caching_report(seed: u64) -> CachingReport {
         };
         for (_, ruleset) in &suite {
             for name in &names {
-                match server.match_preference_snapshot(ruleset, Target::Policy(name), engine) {
+                match server.match_preference(ruleset, Target::Policy(name), engine) {
                     Ok(o) => {
                         let total = o.convert + o.query;
                         if o.cached {
@@ -579,7 +579,7 @@ pub fn caching_table(report: &CachingReport) -> String {
         t.hits,
         t.misses,
         t.evictions,
-        hit_rate(t.hits, t.misses) * 100.0
+        t.hit_rate() * 100.0
     ));
     out.push_str(&format!(
         "plan cache: {} hits / {} misses / {} evictions / {} invalidations ({:.0}% hit rate)\n",
@@ -587,20 +587,12 @@ pub fn caching_table(report: &CachingReport) -> String {
         p.misses,
         p.evictions,
         p.invalidations,
-        hit_rate(p.hits, p.misses) * 100.0
+        p.hit_rate() * 100.0
     ));
     out.push_str(
         "(cold = first match of a preference: translate + prepare; warm = cached plans)\n",
     );
     out
-}
-
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    }
 }
 
 fn us(d: Duration) -> f64 {
@@ -643,12 +635,12 @@ pub fn bench_matching_json(seed: u64, report: &CachingReport) -> String {
     let t = &report.translation;
     out.push_str(&format!(
         "  \"translation_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4}}},\n",
-        t.hits, t.misses, t.evictions, hit_rate(t.hits, t.misses)
+        t.hits, t.misses, t.evictions, t.hit_rate()
     ));
     let p = &report.plans;
     out.push_str(&format!(
         "  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"invalidations\": {}, \"hit_rate\": {:.4}}}\n",
-        p.hits, p.misses, p.evictions, p.invalidations, hit_rate(p.hits, p.misses)
+        p.hits, p.misses, p.evictions, p.invalidations, p.hit_rate()
     ));
     out.push_str("}\n");
     out
@@ -773,7 +765,7 @@ pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
             snapshot.match_corpus(&ruleset, engine)?;
             let loop_time = best_of(runs, || {
                 for name in &names {
-                    snapshot.match_preference_snapshot(&ruleset, Target::Policy(name), engine)?;
+                    snapshot.match_preference(&ruleset, Target::Policy(name), engine)?;
                 }
                 Ok(())
             })?;
@@ -1585,7 +1577,7 @@ pub fn bench_scaling_json(seed: u64, rows: &[ScalingRow], served: &[ServedInstal
 /// per-engine quantiles from the registry. XTABLE failures on exact
 /// connectives are expected and tolerated.
 pub fn telemetry_table(seed: u64) -> String {
-    let mut server = setup_server(seed);
+    let server = setup_server(seed);
     let names = server.policy_names();
     let ruleset = Sensitivity::High.ruleset();
     let mut out = String::new();
@@ -1758,7 +1750,9 @@ pub struct ChurnReport {
     /// Catalog epoch after the stream (== installs + removals).
     pub final_epoch: u64,
     /// Cache counters at the end of the stream.
-    pub cache: p3p_server::verdict_cache::VerdictCacheStats,
+    pub cache: p3p_minidb::CacheStats,
+    /// Verdicts the cache holds at the end of the stream.
+    pub cache_entries: usize,
 }
 
 impl ChurnReport {
@@ -1838,7 +1832,7 @@ pub fn churn_report(seed: u64, ops: usize, churn_rate: f64) -> ChurnReport {
             }
             ChurnOp::Match { policy, ruleset } => {
                 let o = server
-                    .match_preference_snapshot(
+                    .match_preference(
                         &stream.rulesets[*ruleset],
                         Target::Policy(policy),
                         EngineKind::Sql,
@@ -1869,6 +1863,7 @@ pub fn churn_report(seed: u64, ops: usize, churn_rate: f64) -> ChurnReport {
         uncached_p50: p50(&mut uncached),
         final_epoch: server.catalog_epoch(),
         cache: server.verdict_cache_stats(),
+        cache_entries: server.verdict_cache_len(),
     }
 }
 
@@ -1909,7 +1904,7 @@ pub fn churn_table(report: &ChurnReport) -> String {
         "Final catalog epoch",
         report.final_epoch,
         "Cache entries",
-        report.cache.entries,
+        report.cache_entries,
         "Precise invalidations",
         report.cache.invalidations,
     ));
@@ -1943,7 +1938,7 @@ pub fn bench_churn_json(report: &ChurnReport) -> String {
         report.uncached_p50.as_nanos() as f64 / 1e3,
         report.speedup(),
         report.final_epoch,
-        report.cache.entries,
+        report.cache_entries,
         report.cache.evictions,
         report.cache.invalidations,
     )
@@ -2052,7 +2047,7 @@ pub fn profile_report(seed: u64, runs: u32) -> ProfileReport {
     let mut analyzed_plans = 0;
     for name in names.iter().take(5) {
         if let Ok(outcome) =
-            server.match_preference_snapshot(&ruleset, Target::Policy(name), EngineKind::Sql)
+            server.match_preference(&ruleset, Target::Policy(name), EngineKind::Sql)
         {
             analyzed_plans += outcome.analyzed.len();
         }
@@ -2220,7 +2215,7 @@ mod tests {
 
     #[test]
     fn matrix_engines_agree_where_all_succeed() {
-        let mut server = setup_server(DEFAULT_SEED);
+        let server = setup_server(DEFAULT_SEED);
         let suite = preference_suite();
         let names = server.policy_names();
         // Sample a few policies across the whole suite.
@@ -2390,7 +2385,7 @@ mod tests {
                     .iter()
                     .map(|n| {
                         server
-                            .match_preference_snapshot(&ruleset, Target::Policy(n), engine)
+                            .match_preference(&ruleset, Target::Policy(n), engine)
                             .map(|o| (n.clone(), o.verdict))
                     })
                     .collect();
@@ -2493,7 +2488,7 @@ mod tests {
     fn verdicts_vary_across_corpus() {
         // The corpus must produce both blocks and requests for the
         // mid-level preferences, or the experiment is degenerate.
-        let mut server = setup_server(DEFAULT_SEED);
+        let server = setup_server(DEFAULT_SEED);
         let ruleset = Sensitivity::High.ruleset();
         let mut blocks = 0;
         let mut requests = 0;

@@ -120,7 +120,7 @@ impl MatchPool {
         engine: EngineKind,
     ) -> Result<MatchOutcome, ServerError> {
         let snapshot = self.snapshot.read().unwrap().clone();
-        snapshot.match_preference_snapshot(ruleset, target, engine)
+        snapshot.match_preference(ruleset, target, engine)
     }
 
     /// Corpus matching, sharded across threads where sharding divides

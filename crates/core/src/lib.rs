@@ -36,7 +36,7 @@
 //!   "Versions of policies can be better managed using a database
 //!   system").
 //! * [`verdict_cache`] — memoized verdicts under live policy churn:
-//!   a sharded LRU keyed by (preference fingerprint × policy id ×
+//!   an LRU keyed by (preference fingerprint × policy id ×
 //!   policy version × engine × execution options), invalidated
 //!   precisely when a policy is re-shredded or removed.
 //!

@@ -34,7 +34,7 @@ use crate::xtable::XTable;
 use p3p_appel::engine::{AppelEngine, Verdict};
 use p3p_appel::model::{Rule, Ruleset};
 use p3p_minidb::pmap::PMap;
-use p3p_minidb::{Database, Value};
+use p3p_minidb::{CacheStats, Database, Value};
 use p3p_policy::augment::augment_policy;
 use p3p_policy::model::Policy;
 use p3p_policy::reference::ReferenceFile;
@@ -139,7 +139,7 @@ pub struct MatchOutcome {
 impl MatchOutcome {
     /// An outcome the engine (or the verdict cache) produced. `db_stats`
     /// and `epoch` are placeholders that
-    /// [`PolicyServer::match_preference_snapshot`] fills in.
+    /// [`PolicyServer::match_preference`] fills in.
     fn computed(verdict: Verdict, convert: Duration, query: Duration, cached: bool) -> Self {
         MatchOutcome {
             verdict,
@@ -299,7 +299,7 @@ impl PolicyServer {
     }
 
     /// Hit/miss/eviction counters of the per-ruleset translation cache.
-    pub fn translation_cache_stats(&self) -> crate::translation::TranslationCacheStats {
+    pub fn translation_cache_stats(&self) -> CacheStats {
         self.translations.stats()
     }
 
@@ -323,8 +323,13 @@ impl PolicyServer {
     }
 
     /// Hit/miss/eviction/invalidation counters of the verdict cache.
-    pub fn verdict_cache_stats(&self) -> crate::verdict_cache::VerdictCacheStats {
+    pub fn verdict_cache_stats(&self) -> CacheStats {
         self.verdicts.stats()
+    }
+
+    /// Number of verdicts the verdict cache holds.
+    pub fn verdict_cache_len(&self) -> usize {
+        self.verdicts.len()
     }
 
     /// Resize (and thereby enable or disable) the memoized verdict
@@ -332,7 +337,6 @@ impl PolicyServer {
     /// deployments opt in. Detaches from any shared clones first, so
     /// resizing a fork never resizes its parent.
     pub fn set_verdict_cache_capacity(&mut self, capacity: usize) {
-        self.verdicts.detach_for_update();
         self.verdicts.set_capacity(capacity);
     }
 
@@ -508,22 +512,13 @@ impl PolicyServer {
     /// `p3p_match_latency_us` and `p3p_match_phase_us` histograms, and
     /// starts from a zeroed executor-stats window so one engine's scans
     /// and probes never bleed into the next engine's accounting.
-    pub fn match_preference(
-        &mut self,
-        ruleset: &Ruleset,
-        target: Target<'_>,
-        engine: EngineKind,
-    ) -> Result<MatchOutcome, ServerError> {
-        self.match_preference_snapshot(ruleset, target, engine)
-    }
-
-    /// [`Self::match_preference`] without the mutable borrow: matching
-    /// never mutates server state. The SQL engines run bound prepared
-    /// plans with the policy id as a parameter; the XTable engine
-    /// stages into a copy-on-write fork of the database. This is what
-    /// lets [`crate::concurrent::MatchPool`] match straight off a
+    ///
+    /// Matching never mutates server state. The SQL engines run bound
+    /// prepared plans with the policy id as a parameter; the XTable
+    /// engine stages into a copy-on-write fork of the database. This is
+    /// what lets [`crate::concurrent::MatchPool`] match straight off a
     /// shared snapshot with no per-match deep copy.
-    pub fn match_preference_snapshot(
+    pub fn match_preference(
         &self,
         ruleset: &Ruleset,
         target: Target<'_>,
@@ -1107,7 +1102,7 @@ mod tests {
 
     #[test]
     fn all_engines_agree_on_the_papers_walkthrough() {
-        let mut s = server_with_volga();
+        let s = server_with_volga();
         let jane = jane_preference();
         for engine in EngineKind::ALL {
             let out = s
@@ -1200,7 +1195,7 @@ mod tests {
 
     #[test]
     fn unknown_targets_error() {
-        let mut s = server_with_volga();
+        let s = server_with_volga();
         let jane = jane_preference();
         assert!(matches!(
             s.match_preference(&jane, Target::Policy("nope"), EngineKind::Sql),
@@ -1237,7 +1232,7 @@ mod tests {
         // A preference with an or-exact rule: the SQL path handles it,
         // the XTABLE path reports it as too complex (the Medium hole in
         // Figure 21).
-        let mut s = server_with_volga();
+        let s = server_with_volga();
         let pref = p3p_appel::parse::parse_ruleset_str(
             r#"<appel:RULESET>
                  <appel:RULE behavior="block">
@@ -1346,7 +1341,7 @@ mod tests {
             assert_eq!(bulk.len(), 3, "{engine:?}");
             for (name, verdict) in &bulk {
                 let loop_verdict = s
-                    .match_preference_snapshot(&jane, Target::Policy(name), *engine)
+                    .match_preference(&jane, Target::Policy(name), *engine)
                     .unwrap()
                     .verdict;
                 assert_eq!(*verdict, loop_verdict, "{engine:?} / {name}");
@@ -1430,12 +1425,12 @@ mod tests {
         assert_eq!(warm.query, Duration::ZERO, "no execution on a hit");
         assert_eq!(warm.db_stats, Default::default(), "no minidb work on a hit");
         let stats = s.verdict_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, s.verdict_cache_len()), (1, 1, 1));
     }
 
     #[test]
     fn verdict_cache_disabled_by_default() {
-        let mut s = server_with_volga();
+        let s = server_with_volga();
         let jane = jane_preference();
         for _ in 0..2 {
             let out = s
@@ -1530,7 +1525,7 @@ mod tests {
             .unwrap();
         assert!(warm.verdict_cached, "parent cache untouched by the fork");
         // And the fork really dropped its copy.
-        assert_eq!(fork.verdict_cache_stats().entries, 0);
+        assert_eq!(fork.verdict_cache_len(), 0);
     }
 
     #[test]
@@ -1543,8 +1538,11 @@ mod tests {
         s.set_verdict_cache_capacity(256);
         let jane = jane_preference();
         let cold = s.match_corpus(&jane, EngineKind::Sql).unwrap();
-        let stats = s.verdict_cache_stats();
-        assert_eq!(stats.entries, 2, "sweep memoizes every decided policy");
+        assert_eq!(
+            s.verdict_cache_len(),
+            2,
+            "sweep memoizes every decided policy"
+        );
         let warm = s.match_corpus(&jane, EngineKind::Sql).unwrap();
         assert_eq!(warm, cold);
         let stats = s.verdict_cache_stats();
@@ -1575,9 +1573,8 @@ mod tests {
         assert_eq!(sweep[0].1.behavior, Behavior::Block);
         assert_eq!(sweep[1].0, "volga");
         assert_eq!(sweep[1].1.behavior, Behavior::Request);
-        let stats = s.verdict_cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.entries, 2);
+        assert_eq!(s.verdict_cache_stats().hits, 1);
+        assert_eq!(s.verdict_cache_len(), 2);
     }
 
     #[test]
@@ -1614,7 +1611,7 @@ mod tests {
                 "{options:?} reused the default verdict"
             );
         }
-        assert_eq!(s.verdict_cache_stats().entries, 4);
+        assert_eq!(s.verdict_cache_len(), 4);
     }
 
     #[test]
@@ -1639,7 +1636,7 @@ mod tests {
                 "{options:?} reused another arm's verdict"
             );
         }
-        assert_eq!(s.verdict_cache_stats().entries, 4);
+        assert_eq!(s.verdict_cache_len(), 4);
         // Back on the default rule, the first verdict is served again.
         s.database_mut().set_options(ExecOptions::default());
         let again = s

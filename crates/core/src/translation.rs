@@ -14,16 +14,17 @@
 //! is a 64-bit hash of the ruleset structure and the variant selects
 //! the translation dialect. Values are shared slices of prepared plans
 //! (`None` marks an unconditional rule in the XTable dialect, which
-//! produces no query at all). Capacity is bounded with LRU eviction.
+//! produces no query at all). The store is a 128-entry
+//! [`p3p_minidb::lru::Lru`], the LRU behind the plan and verdict caches
+//! too, reporting to the `p3p_translation_cache_*_total` counters.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use p3p_appel::Ruleset;
+use p3p_minidb::lru::{CacheStats, SharedLru};
 use p3p_minidb::Prepared;
-use p3p_telemetry::metrics::{self, Counter};
 
 /// Which translation dialect a cache entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,44 +46,7 @@ pub enum TranslationVariant {
 /// marks a rule that needs no query (unconditional XTable rule).
 pub type TranslatedPlans = Arc<[Option<Prepared>]>;
 
-/// Counters for cache effectiveness, surfaced by benches and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TranslationCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
-
-const DEFAULT_TRANSLATION_CACHE_CAPACITY: usize = 128;
-
-struct CacheMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        hits: metrics::counter("p3p_translation_cache_hits_total"),
-        misses: metrics::counter("p3p_translation_cache_misses_total"),
-        evictions: metrics::counter("p3p_translation_cache_evictions_total"),
-    })
-}
-
-#[derive(Debug)]
-struct Entry {
-    plans: TranslatedPlans,
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct Inner {
-    entries: HashMap<(u64, TranslationVariant), Entry>,
-    tick: u64,
-    capacity: usize,
-    stats: TranslationCacheStats,
-}
+const TRANSLATION_CACHE_CAPACITY: usize = 128;
 
 /// Bounded LRU cache from ruleset fingerprints to prepared plans.
 ///
@@ -91,18 +55,13 @@ struct Inner {
 /// matchers benefit from each other's translations.
 #[derive(Debug, Clone)]
 pub struct TranslationCache {
-    inner: Arc<Mutex<Inner>>,
+    lru: SharedLru<(u64, TranslationVariant), TranslatedPlans>,
 }
 
 impl Default for TranslationCache {
     fn default() -> Self {
         TranslationCache {
-            inner: Arc::new(Mutex::new(Inner {
-                entries: HashMap::new(),
-                tick: 0,
-                capacity: DEFAULT_TRANSLATION_CACHE_CAPACITY,
-                stats: TranslationCacheStats::default(),
-            })),
+            lru: SharedLru::new("translation", TRANSLATION_CACHE_CAPACITY),
         }
     }
 }
@@ -128,69 +87,32 @@ impl TranslationCache {
     ) -> Result<(TranslatedPlans, bool), E> {
         let key = (Self::fingerprint(ruleset), variant);
         {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.entries.get_mut(&key) {
-                entry.last_used = tick;
-                let plans = Arc::clone(&entry.plans);
-                inner.stats.hits += 1;
-                cache_metrics().hits.inc();
-                return Ok((plans, true));
+            let mut lru = self.lru.lock();
+            if let Some(plans) = lru.get(&key) {
+                return Ok((Arc::clone(plans), true));
             }
-            inner.stats.misses += 1;
-            cache_metrics().misses.inc();
+            lru.miss();
         }
         // Translate outside the lock: it is the expensive part, and a
         // rare duplicate build under contention is harmless.
         let plans: TranslatedPlans = build()?.into();
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.capacity == 0 {
-            return Ok((plans, false));
-        }
-        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(&key) {
-            if let Some(oldest) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                inner.entries.remove(&oldest);
-                inner.stats.evictions += 1;
-                cache_metrics().evictions.inc();
-            }
-        }
-        inner.entries.insert(
-            key,
-            Entry {
-                plans: Arc::clone(&plans),
-                last_used: tick,
-            },
-        );
+        self.lru.lock().insert(key, Arc::clone(&plans));
         Ok((plans, false))
     }
 
-    /// Snapshot of hit/miss/eviction counters.
-    pub fn stats(&self) -> TranslationCacheStats {
-        self.inner.lock().unwrap().stats
+    /// Snapshot of the hit/miss/eviction counters.
+    pub fn stats(&self) -> CacheStats {
+        self.lru.lock().stats()
     }
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.lru.lock().len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Adjust capacity (0 disables caching). Does not shrink eagerly;
-    /// oversized contents drain through normal LRU eviction.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.inner.lock().unwrap().capacity = capacity;
     }
 }
 
@@ -273,37 +195,6 @@ mod tests {
             .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || Ok(plans()))
             .unwrap();
         assert!(!cached);
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let cache = TranslationCache::default();
-        cache.set_capacity(2);
-        let a = ruleset(Behavior::Request);
-        let b = ruleset(Behavior::Block);
-        let c = ruleset(Behavior::Limited);
-        for rs in [&a, &b] {
-            cache
-                .get_or_try_insert::<()>(rs, TranslationVariant::Optimized, || Ok(plans()))
-                .unwrap();
-        }
-        // Touch `a` so `b` is the eviction candidate.
-        cache
-            .get_or_try_insert::<()>(&a, TranslationVariant::Optimized, || Ok(plans()))
-            .unwrap();
-        cache
-            .get_or_try_insert::<()>(&c, TranslationVariant::Optimized, || Ok(plans()))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        let (_, a_cached) = cache
-            .get_or_try_insert::<()>(&a, TranslationVariant::Optimized, || Ok(plans()))
-            .unwrap();
-        assert!(a_cached, "recently used entry must survive eviction");
-        let (_, b_cached) = cache
-            .get_or_try_insert::<()>(&b, TranslationVariant::Optimized, || Ok(plans()))
-            .unwrap();
-        assert!(!b_cached, "least recently used entry must be evicted");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! "policies of a website will not stay static forever" — yet between
 //! two updates, the same preference matched against the same policy
 //! always produces the same verdict. This module memoizes that fact:
-//! a sharded, LRU-bounded map from
+//! an LRU-bounded map from
 //!
 //! ```text
 //! (ruleset fingerprint × policy id × policy version × engine × execution options)
@@ -18,22 +18,24 @@
 //! orphans P's old entries even before they are swept); the options are
 //! the database's whole [`ExecOptions`] value, so an A/B comparison of
 //! any option never aliases. A hit answers a match without touching
-//! minidb at all.
+//! minidb at all. The store is one [`p3p_minidb::lru::Lru`] behind one
+//! lock, the LRU behind the plan and translation caches too.
 //!
 //! Invalidation is precise: removing or re-shredding policy P evicts
 //! only P's entries ([`VerdictCache::invalidate_policy`]). Capacity 0
 //! disables the cache entirely (the default for a fresh server —
-//! deployments and the churn workload opt in).
+//! deployments and the churn workload opt in), and a disabled cache is
+//! checked without taking the lock.
 //!
 //! ## Sharing and copy-on-write forks
 //!
 //! Cloning a cache (as [`crate::PolicyServer::clone_state`] does)
-//! shares the underlying shards, so a [`MatchPool`] snapshot and the
+//! shares the underlying map, so a [`MatchPool`] snapshot and the
 //! server it came from warm each other — safe while their catalogs are
 //! identical, because every key pins a policy id and version. The
 //! moment a server *mutates its catalog* it must call
-//! [`VerdictCache::detach_for_update`] first: if the cache is shared,
-//! the server splits off a private warm copy, so a fork's installs,
+//! [`VerdictCache::detach_for_update`] first: if the map is shared,
+//! the server takes a private warm copy, so a fork's installs,
 //! removals, and invalidations are never visible to its parent (and
 //! two forks can never poison each other through reused policy ids).
 //!
@@ -41,18 +43,10 @@
 
 use crate::server::EngineKind;
 use p3p_appel::engine::Verdict;
+use p3p_minidb::lru::{CacheStats, SharedLru};
 use p3p_minidb::ExecOptions;
-use p3p_telemetry::metrics::{self, Counter, Gauge};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of independently locked shards. Keys spread by hash, so
-/// concurrent matchers on a [`MatchPool`](crate::concurrent::MatchPool)
-/// snapshot rarely contend.
-const SHARDS: usize = 16;
+use p3p_telemetry::metrics::{self, Gauge};
+use std::sync::{Arc, OnceLock};
 
 /// The identity of one memoized verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,55 +65,6 @@ pub struct VerdictKey {
     pub options: ExecOptions,
 }
 
-impl VerdictKey {
-    fn shard(&self) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
-}
-
-/// Hit/miss/eviction/invalidation counters plus current size, per
-/// cache lineage (the Prometheus `p3p_verdict_cache_*` counters
-/// aggregate across every cache in the process).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VerdictCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub invalidations: u64,
-    pub entries: usize,
-}
-
-impl VerdictCacheStats {
-    /// Hits over consulted lookups (0 when never consulted).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct CacheMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    invalidations: Arc<Counter>,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        hits: metrics::counter("p3p_verdict_cache_hits_total"),
-        misses: metrics::counter("p3p_verdict_cache_misses_total"),
-        evictions: metrics::counter("p3p_verdict_cache_evictions_total"),
-        invalidations: metrics::counter("p3p_verdict_cache_invalidations_total"),
-    })
-}
-
 /// The `p3p_catalog_epoch` gauge: the most recent catalog epoch any
 /// server in the process reached.
 pub(crate) fn epoch_gauge() -> &'static Arc<Gauge> {
@@ -127,221 +72,89 @@ pub(crate) fn epoch_gauge() -> &'static Arc<Gauge> {
     GAUGE.get_or_init(|| metrics::gauge("p3p_catalog_epoch"))
 }
 
-#[derive(Debug)]
-struct Entry {
-    verdict: Verdict,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<VerdictKey, Entry>,
-    tick: u64,
-}
-
-#[derive(Debug)]
-struct Inner {
-    shards: Vec<Mutex<Shard>>,
-    /// Total capacity across shards; 0 disables the cache.
-    capacity: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl Inner {
-    fn with_capacity(capacity: usize) -> Inner {
-        Inner {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity: AtomicUsize::new(capacity),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    fn per_shard_capacity(&self) -> usize {
-        (self.capacity.load(Ordering::Relaxed) / SHARDS).max(1)
-    }
-
-    /// A warm private copy: contents, capacity, and counters carry
-    /// over; the new inner shares nothing with this one.
-    fn deep_copy(&self) -> Inner {
-        let copy = Inner::with_capacity(self.capacity.load(Ordering::Relaxed));
-        for (from, to) in self.shards.iter().zip(&copy.shards) {
-            let from = from.lock().unwrap();
-            let mut to = to.lock().unwrap();
-            to.tick = from.tick;
-            to.entries = from
-                .entries
-                .iter()
-                .map(|(k, e)| {
-                    (
-                        *k,
-                        Entry {
-                            verdict: e.verdict.clone(),
-                            last_used: e.last_used,
-                        },
-                    )
-                })
-                .collect();
-        }
-        copy.hits
-            .store(self.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.misses
-            .store(self.misses.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.evictions
-            .store(self.evictions.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.invalidations.store(
-            self.invalidations.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        copy
-    }
-}
-
-/// Sharded LRU map from [`VerdictKey`] to [`Verdict`]. Cloning shares
-/// the shards (see the module docs for the copy-on-write contract).
+/// LRU map from [`VerdictKey`] to [`Verdict`]. Cloning shares the map
+/// (see the module docs for the copy-on-write contract).
 #[derive(Debug, Clone)]
 pub struct VerdictCache {
-    inner: Arc<Inner>,
+    lru: SharedLru<VerdictKey, Verdict>,
+    /// The map's capacity, kept outside it so that a disabled cache is
+    /// checked without taking the lock. Every holder of one map agrees
+    /// on it, because [`VerdictCache::set_capacity`] detaches first.
+    capacity: usize,
 }
 
 impl Default for VerdictCache {
     /// Disabled (capacity 0) — callers opt in with
     /// [`VerdictCache::set_capacity`].
     fn default() -> Self {
-        VerdictCache {
-            inner: Arc::new(Inner::with_capacity(0)),
-        }
+        VerdictCache::with_capacity(0)
     }
 }
 
 impl VerdictCache {
-    /// A cache bounded to `capacity` entries in total.
+    /// A cache bounded to `capacity` entries.
     pub fn with_capacity(capacity: usize) -> VerdictCache {
         VerdictCache {
-            inner: Arc::new(Inner::with_capacity(capacity)),
+            lru: SharedLru::new("verdict", capacity),
+            capacity,
         }
     }
 
     /// True when lookups can ever hit (capacity > 0).
     pub fn is_enabled(&self) -> bool {
-        self.capacity() > 0
+        self.capacity > 0
     }
 
-    /// Total entry budget across shards.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity.load(Ordering::Relaxed)
+    /// Resize this holder's cache, evicting least recently used entries
+    /// down to the new bound at once; 0 disables lookups and inserts.
+    /// Detaches first, so resizing a fork never resizes its parent.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.detach_for_update();
+        self.lru.lock().set_capacity(capacity);
+        self.capacity = capacity;
     }
 
-    /// Adjust the budget. 0 disables lookups and inserts; oversized
-    /// contents drain through normal LRU eviction, except that setting
-    /// 0 clears eagerly (a disabled cache must never serve a hit).
-    pub fn set_capacity(&self, capacity: usize) {
-        self.inner.capacity.store(capacity, Ordering::Relaxed);
-        if capacity == 0 {
-            for shard in &self.inner.shards {
-                shard.lock().unwrap().entries.clear();
-            }
-        }
-    }
-
-    /// Split off a private warm copy if the shards are shared with any
-    /// other holder. Servers call this before every catalog mutation,
-    /// which is what keeps forks and parents from seeing each other's
-    /// cache mutations (and from aliasing independently assigned
-    /// policy ids).
+    /// Take a private warm copy of the map if any other holder shares
+    /// it. Servers call this before every catalog mutation, which is
+    /// what keeps forks and parents from seeing each other's cache
+    /// mutations (and from aliasing independently assigned policy ids).
     pub fn detach_for_update(&mut self) {
-        if Arc::strong_count(&self.inner) > 1 {
-            self.inner = Arc::new(self.inner.deep_copy());
-        }
+        self.lru.detach();
     }
 
     /// Look up a memoized verdict. Counts a hit or a miss; a disabled
-    /// cache returns `None` without counting.
+    /// cache returns `None` without counting or locking.
     pub fn get(&self, key: &VerdictKey) -> Option<Verdict> {
         if !self.is_enabled() {
             return None;
         }
-        let mut shard = self.inner.shards[key.shard()].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let verdict = entry.verdict.clone();
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().hits.inc();
-                Some(verdict)
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().misses.inc();
-                None
-            }
+        let mut lru = self.lru.lock();
+        let verdict = lru.get(key).cloned();
+        if verdict.is_none() {
+            lru.miss();
         }
+        verdict
     }
 
-    /// Memoize a verdict, evicting the shard's least recently used
-    /// entry when the shard is at budget. No-op when disabled.
+    /// Memoize a verdict, evicting the least recently used entry when
+    /// the cache is full. No-op when disabled.
     pub fn insert(&self, key: VerdictKey, verdict: Verdict) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.lru.lock().insert(key, verdict);
         }
-        let per_shard = self.inner.per_shard_capacity();
-        let mut shard = self.inner.shards[key.shard()].lock().unwrap();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.entries.len() >= per_shard && !shard.entries.contains_key(&key) {
-            if let Some(oldest) = shard
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                shard.entries.remove(&oldest);
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().evictions.inc();
-            }
-        }
-        shard.entries.insert(
-            key,
-            Entry {
-                verdict,
-                last_used: tick,
-            },
-        );
     }
 
     /// Evict every entry of one policy (precise invalidation on
     /// re-shred/remove). Returns how many entries were dropped.
     pub fn invalidate_policy(&self, policy_id: i64) -> usize {
-        let mut dropped = 0;
-        for shard in &self.inner.shards {
-            let mut shard = shard.lock().unwrap();
-            let before = shard.entries.len();
-            shard.entries.retain(|k, _| k.policy_id != policy_id);
-            dropped += before - shard.entries.len();
-        }
-        if dropped > 0 {
-            self.inner
-                .invalidations
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-            cache_metrics().invalidations.add(dropped as u64);
-        }
-        dropped
+        self.lru
+            .lock()
+            .remove_where(|key| key.policy_id == policy_id)
     }
 
     /// Number of memoized verdicts.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().unwrap().entries.len())
-            .sum()
+        self.lru.lock().len()
     }
 
     /// True when nothing is memoized.
@@ -349,15 +162,10 @@ impl VerdictCache {
         self.len() == 0
     }
 
-    /// Counter snapshot for this cache lineage.
-    pub fn stats(&self) -> VerdictCacheStats {
-        VerdictCacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-            invalidations: self.inner.invalidations.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
+    /// Counter snapshot for this cache lineage (the process-wide
+    /// `p3p_verdict_cache_*_total` counters sum every lineage).
+    pub fn stats(&self) -> CacheStats {
+        self.lru.lock().stats()
     }
 }
 
@@ -389,7 +197,7 @@ mod tests {
         assert!(!cache.is_enabled());
         cache.insert(key(1, 1, 1), verdict(Behavior::Block));
         assert_eq!(cache.get(&key(1, 1, 1)), None);
-        assert_eq!(cache.stats(), VerdictCacheStats::default());
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -399,7 +207,7 @@ mod tests {
         cache.insert(key(1, 1, 1), verdict(Behavior::Request));
         assert_eq!(cache.get(&key(1, 1, 1)), Some(verdict(Behavior::Request)));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, cache.len()), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
@@ -431,25 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_recency_within_a_shard() {
-        // Capacity SHARDS gives each shard a budget of exactly one
-        // entry, so two keys in the same shard must evict.
-        let cache = VerdictCache::with_capacity(SHARDS);
-        let a = key(1, 1, 1);
-        let mut b = a;
-        b.fingerprint = 2;
-        // Force both keys into the same shard by brute-force search.
-        while b.shard() != a.shard() {
-            b.fingerprint += 1;
+    fn capacity_bounds_the_whole_cache() {
+        let cache = VerdictCache::with_capacity(4);
+        for policy_id in 0..1000 {
+            cache.insert(key(1, policy_id, 1), verdict(Behavior::Block));
         }
-        cache.insert(a, verdict(Behavior::Block));
-        cache.insert(b, verdict(Behavior::Request));
-        assert_eq!(cache.get(&a), None, "older entry evicted");
-        assert_eq!(cache.get(&b), Some(verdict(Behavior::Request)));
-        assert_eq!(cache.stats().evictions, 1);
-        // Re-inserting an existing key at budget must not evict it.
-        cache.insert(b, verdict(Behavior::Request));
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), 4, "capacity 4 holds at most 4 verdicts");
+        assert_eq!(cache.stats().evictions, 996);
+        // Re-inserting a present key at capacity must not evict.
+        cache.insert(key(1, 999, 1), verdict(Behavior::Request));
+        assert_eq!(cache.stats().evictions, 996);
+        assert_eq!(cache.get(&key(1, 999, 1)), Some(verdict(Behavior::Request)));
     }
 
     #[test]
@@ -476,18 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn detach_is_a_no_op_for_a_sole_owner() {
-        let mut cache = VerdictCache::with_capacity(64);
-        cache.insert(key(1, 1, 1), verdict(Behavior::Block));
-        let before = Arc::as_ptr(&cache.inner);
-        cache.detach_for_update();
-        assert_eq!(before, Arc::as_ptr(&cache.inner), "no copy when unshared");
-        assert_eq!(cache.get(&key(1, 1, 1)), Some(verdict(Behavior::Block)));
-    }
-
-    #[test]
     fn disabling_clears_eagerly() {
-        let cache = VerdictCache::with_capacity(64);
+        let mut cache = VerdictCache::with_capacity(64);
         cache.insert(key(1, 1, 1), verdict(Behavior::Block));
         cache.set_capacity(0);
         assert!(cache.is_empty());

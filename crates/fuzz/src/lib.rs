@@ -152,7 +152,7 @@ fn loop_verdicts(
         .iter()
         .map(|n| {
             server
-                .match_preference_snapshot(ruleset, Target::Policy(n), engine)
+                .match_preference(ruleset, Target::Policy(n), engine)
                 .map(|o| (n.clone(), o.verdict))
         })
         .collect()
@@ -363,10 +363,8 @@ pub fn check_churn(seed: u64) -> ChurnCheck {
                     .evaluate_policy_xml(ruleset, &live[policy])
                     .expect("native reference evaluates every generated case");
                 for &engine in &[EngineKind::Native, EngineKind::Sql, EngineKind::SqlGeneric] {
-                    let warm =
-                        cached.match_preference_snapshot(ruleset, Target::Policy(policy), engine);
-                    let chill =
-                        cold.match_preference_snapshot(ruleset, Target::Policy(policy), engine);
+                    let warm = cached.match_preference(ruleset, Target::Policy(policy), engine);
+                    let chill = cold.match_preference(ruleset, Target::Policy(policy), engine);
                     let path = format!("{}/churn", engine.metric_label());
                     match (warm, chill) {
                         (Ok(warm), Ok(chill)) => {

@@ -2,7 +2,8 @@
 
 use crate::error::DbError;
 use crate::exec::{self, ExecOptions};
-use crate::plan::{self, PlanCache, PlanCacheStats, Prepared, PLAN_DRIFT_FACTOR};
+use crate::lru::{CacheStats, SharedLru};
+use crate::plan::{self, Prepared, PLAN_CACHE_CAPACITY, PLAN_DRIFT_FACTOR};
 use crate::profile::Profile;
 use crate::schema::{ColumnDef, ForeignKey, TableSchema};
 use crate::sql::ast::Statement;
@@ -85,7 +86,7 @@ fn report_statement(sql: &str, before: &exec::ExecStats, wall: Duration, profile
     } else {
         None
     };
-    p3p_telemetry::slowlog::record_analyzed(
+    p3p_telemetry::slowlog::record(
         sql,
         p3p_telemetry::QueryStats {
             rows_scanned: delta.rows_scanned,
@@ -176,10 +177,10 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
     options: ExecOptions,
     check_foreign_keys: bool,
-    /// Plan cache shared across clones of this database (the `Arc`
-    /// inside `PlanCache`): snapshots made for concurrent matching keep
-    /// the warm cache.
-    plans: PlanCache,
+    /// Plans keyed by statement text, shared with the clones of this
+    /// database until one of them runs DDL: snapshots made for
+    /// concurrent matching keep the warm cache.
+    plans: SharedLru<String, Prepared>,
 }
 
 impl Database {
@@ -190,7 +191,7 @@ impl Database {
             tables: BTreeMap::new(),
             options: ExecOptions::default(),
             check_foreign_keys: true,
-            plans: PlanCache::default(),
+            plans: SharedLru::new("plan", PLAN_CACHE_CAPACITY),
         }
     }
 
@@ -257,8 +258,8 @@ impl Database {
     /// thrash the LRU; misses are only counted for cacheable
     /// statements. Any successful DDL invalidates the cache.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, DbError> {
-        if let Some(plan) = self.plans.get(sql) {
-            return Ok(plan);
+        if let Some(plan) = self.plans.lock().get(sql) {
+            return Ok(plan.clone());
         }
         let (stmt, params) = parse_statement_params(sql)?;
         plan::validate(self, &stmt)?;
@@ -271,8 +272,9 @@ impl Database {
         };
         let prepared = Prepared::new(sql, stmt, params);
         if cacheable {
-            self.plans.note_miss();
-            self.plans.insert(prepared.clone());
+            let mut plans = self.plans.lock();
+            plans.miss();
+            plans.insert(sql.to_string(), prepared.clone());
         }
         Ok(prepared)
     }
@@ -288,19 +290,13 @@ impl Database {
     }
 
     /// Cumulative statistics for this database's plan cache.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
+    pub fn plan_cache_stats(&self) -> CacheStats {
+        self.plans.lock().stats()
     }
 
     /// Number of plans currently cached.
     pub fn plan_cache_len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Change the plan-cache capacity (0 disables caching), evicting
-    /// down to the new bound.
-    pub fn set_plan_cache_capacity(&self, capacity: usize) {
-        self.plans.set_capacity(capacity);
+        self.plans.lock().len()
     }
 
     /// Execute any SQL statement.
@@ -344,7 +340,8 @@ impl Database {
     ) -> Result<ExecOutcome, DbError> {
         let outcome = self.run_statement(stmt, params);
         // Any successful DDL changes the catalog; cached plans were
-        // validated against the old one, so drop them.
+        // validated against the old one, so drop them. Clones sharing
+        // the cache keep the old catalog, and with it their plans.
         if outcome.is_ok()
             && matches!(
                 stmt,
@@ -353,7 +350,8 @@ impl Database {
                     | Statement::DropTable { .. }
             )
         {
-            self.plans.invalidate_all();
+            self.plans.detach();
+            self.plans.lock().clear();
         }
         outcome
     }
@@ -1295,27 +1293,55 @@ mod tests {
     }
 
     #[test]
+    fn a_clones_ddl_leaves_its_parents_plan_cache_alone() {
+        let db = policy_db();
+        let sql = "SELECT name FROM policy WHERE policy_id = 1";
+        db.query(sql).unwrap();
+        let cached = db.plan_cache_len();
+        let before = db.plan_cache_stats();
+        let mut clone = db.clone();
+        clone.execute("CREATE TABLE u (b INT)").unwrap();
+        clone.query("SELECT b FROM u").unwrap();
+        // The parent checks the statement against its own catalog.
+        assert!(matches!(
+            db.prepare("SELECT b FROM u"),
+            Err(DbError::UnknownTable(_))
+        ));
+        assert_eq!(db.plan_cache_len(), cached, "the clone's DDL emptied it");
+        db.query(sql).unwrap();
+        assert_eq!(db.plan_cache_stats().hits, before.hits + 1);
+        assert_eq!(db.plan_cache_stats().invalidations, before.invalidations);
+        // The clone's fresh cache keeps the lineage's counters.
+        let forked = clone.plan_cache_stats();
+        assert_eq!(forked.invalidations, before.invalidations + 1);
+        assert_eq!(forked.misses, before.misses + 1);
+    }
+
+    #[test]
     fn plan_cache_evicts_least_recently_used() {
         let db = policy_db();
-        // Setup's INSERT plans are cached too; shrinking may already
-        // evict, so assert on deltas from here.
-        db.set_plan_cache_capacity(2);
+        let kept = "SELECT name FROM policy WHERE policy_id = 1";
+        let evicted = "SELECT COUNT(*) FROM purpose";
+        db.query(evicted).unwrap();
+        db.query(kept).unwrap();
         let base = db.plan_cache_stats();
-        db.query("SELECT name FROM policy WHERE policy_id = 1")
+        // Overflow the cache with one-off statements, refreshing `kept`
+        // before each so that it stays the most recently used.
+        for i in 0..PLAN_CACHE_CAPACITY {
+            db.query(kept).unwrap();
+            db.query(&format!(
+                "SELECT name FROM policy WHERE policy_id = {}",
+                i + 2
+            ))
             .unwrap();
-        db.query("SELECT COUNT(*) FROM purpose").unwrap();
-        // Refresh the first plan, then overflow: the COUNT plan goes.
-        db.query("SELECT name FROM policy WHERE policy_id = 1")
-            .unwrap();
-        db.query("SELECT COUNT(*) FROM statement").unwrap();
-        assert_eq!(db.plan_cache_len(), 2);
+        }
+        assert_eq!(db.plan_cache_len(), PLAN_CACHE_CAPACITY);
         assert!(db.plan_cache_stats().evictions > base.evictions);
         // The refreshed plan is still a hit; the evicted one re-misses.
         let before = db.plan_cache_stats();
-        db.query("SELECT name FROM policy WHERE policy_id = 1")
-            .unwrap();
+        db.query(kept).unwrap();
         assert_eq!(db.plan_cache_stats().hits, before.hits + 1);
-        db.query("SELECT COUNT(*) FROM purpose").unwrap();
+        db.query(evicted).unwrap();
         assert_eq!(db.plan_cache_stats().misses, before.misses + 1);
     }
 
@@ -1326,11 +1352,9 @@ mod tests {
         let cold = db.query(sql).unwrap();
         let warm = db.query(sql).unwrap();
         assert_eq!(cold, warm);
-        // A capacity-0 cache (caching disabled) agrees too.
-        let db2 = policy_db();
-        db2.set_plan_cache_capacity(0);
-        assert_eq!(db2.query(sql).unwrap(), cold);
-        assert_eq!(db2.plan_cache_len(), 0);
+        // A plan prepared outside the cache agrees too.
+        let fresh = db.prepare_uncached(sql).unwrap();
+        assert_eq!(db.query_prepared(&fresh, &[]).unwrap(), cold);
     }
 
     /// `policy_db` grown to `n` policies: every policy gets one

@@ -70,6 +70,7 @@ pub mod database;
 pub mod error;
 pub mod exec;
 pub mod explain;
+pub mod lru;
 pub mod plan;
 pub mod pmap;
 pub mod profile;
@@ -82,7 +83,8 @@ pub use database::{Database, ExecOutcome, QueryResult};
 pub use error::DbError;
 pub use exec::ExecOptions;
 pub use explain::{explain, explain_analyze};
-pub use plan::{JoinOp, JoinPlan, JoinPlanCache, PlanCacheStats, Prepared, PLAN_DRIFT_FACTOR};
+pub use lru::CacheStats;
+pub use plan::{JoinOp, JoinPlan, JoinPlanCache, Prepared, PLAN_DRIFT_FACTOR};
 pub use profile::{Profile, ProfileNode, OP_KINDS};
 pub use schema::{ColumnDef, DataType, ForeignKey, TableSchema};
 pub use table::{IndexStats, TableStats, Unshared};

@@ -1,12 +1,13 @@
-//! Prepared statements and the shared LRU plan cache.
+//! Prepared statements and cost-based join planning.
 //!
 //! `Database::prepare` parses and semantically checks a statement once,
 //! yielding a [`Prepared`] plan that can be re-executed with different
-//! bound parameter values (`?` positional, `:name` named). A
-//! [`PlanCache`] keyed by statement text backs `execute`/`query`
+//! bound parameter values (`?` positional, `:name` named). A plan cache
+//! of 256 entries keyed by statement text backs `execute`/`query`
 //! transparently, so repeated statements skip the parser entirely. The
-//! cache is shared across `Database` clones (an `Arc` internally):
-//! snapshot copies made for concurrent matching keep the warm cache.
+//! cache is an [`crate::lru::SharedLru`] shared across `Database`
+//! clones: snapshot copies made for concurrent matching keep the warm
+//! cache, until one of them runs DDL.
 
 use crate::database::Database;
 use crate::error::DbError;
@@ -17,25 +18,8 @@ use p3p_telemetry::metrics::{self, Counter};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default number of cached plans per database.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
-
-struct CacheMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    invalidations: Arc<Counter>,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        hits: metrics::counter("p3p_plan_cache_hits_total"),
-        misses: metrics::counter("p3p_plan_cache_misses_total"),
-        evictions: metrics::counter("p3p_plan_cache_evictions_total"),
-        invalidations: metrics::counter("p3p_plan_cache_invalidations_total"),
-    })
-}
+/// Number of cached plans per database.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// A parsed, semantically-checked statement ready for repeated
 /// execution. Cloning is cheap (a few `Arc` bumps).
@@ -102,144 +86,6 @@ impl Prepared {
             out.push(value);
         }
         Ok(out)
-    }
-}
-
-/// Cumulative plan-cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub invalidations: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    plan: Prepared,
-    last_used: u64,
-}
-
-#[derive(Debug)]
-struct Inner {
-    entries: HashMap<String, Entry>,
-    tick: u64,
-    capacity: usize,
-    stats: PlanCacheStats,
-}
-
-impl Default for Inner {
-    fn default() -> Inner {
-        Inner {
-            entries: HashMap::new(),
-            tick: 0,
-            capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            stats: PlanCacheStats::default(),
-        }
-    }
-}
-
-/// An LRU cache of [`Prepared`] plans keyed by statement text. Interior
-/// mutability keeps `Database::query` usable through `&self`; the
-/// `Arc` makes clones of a `Database` share one warm cache.
-#[derive(Debug, Clone, Default)]
-pub struct PlanCache {
-    inner: Arc<Mutex<Inner>>,
-}
-
-impl PlanCache {
-    /// Look up a cached plan, refreshing its LRU position. A lookup
-    /// that finds nothing is *not* counted as a miss here: the caller
-    /// decides (via [`PlanCache::note_miss`]) whether the statement was
-    /// cacheable at all, so one-shot statements that bypass the cache
-    /// do not drown the hit rate.
-    pub fn get(&self, sql: &str) -> Option<Prepared> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.entries.get_mut(sql) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let plan = entry.plan.clone();
-                inner.stats.hits += 1;
-                cache_metrics().hits.inc();
-                Some(plan)
-            }
-            None => None,
-        }
-    }
-
-    /// Record a miss for a cacheable statement that had to be parsed.
-    pub fn note_miss(&self) {
-        self.inner.lock().unwrap().stats.misses += 1;
-        cache_metrics().misses.inc();
-    }
-
-    /// Insert a plan, evicting the least-recently-used entry when full.
-    pub fn insert(&self, plan: Prepared) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.capacity == 0 {
-            return;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if inner.entries.len() >= inner.capacity && !inner.entries.contains_key(plan.sql()) {
-            Self::evict_one(&mut inner);
-        }
-        inner.entries.insert(
-            plan.sql().to_string(),
-            Entry {
-                plan,
-                last_used: tick,
-            },
-        );
-    }
-
-    fn evict_one(inner: &mut Inner) {
-        let victim = inner
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone());
-        if let Some(key) = victim {
-            inner.entries.remove(&key);
-            inner.stats.evictions += 1;
-            cache_metrics().evictions.inc();
-        }
-    }
-
-    /// Drop every cached plan (DDL changed the catalog).
-    pub fn invalidate_all(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.entries.is_empty() {
-            inner.entries.clear();
-        }
-        inner.stats.invalidations += 1;
-        cache_metrics().invalidations.inc();
-    }
-
-    /// Cumulative hit/miss/eviction/invalidation counts.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.inner.lock().unwrap().stats
-    }
-
-    /// Number of plans currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Change the capacity, evicting down to the new bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.capacity = capacity;
-        while inner.entries.len() > capacity {
-            Self::evict_one(&mut inner);
-        }
     }
 }
 

@@ -130,25 +130,11 @@ pub fn set_capacity(capacity: usize) {
 
 /// Report an executed statement. Called by the executor for every
 /// statement; the record is kept only if `wall` meets the threshold.
-/// The rule id is read from this thread's [`QueryContextGuard`].
-pub fn record(sql: &str, stats: QueryStats, wall: Duration) {
-    record_with_strategy(sql, stats, wall, None);
-}
-
-/// [`record`] plus the join strategy the planner chose for the
-/// statement, when it planned one.
-pub fn record_with_strategy(
-    sql: &str,
-    stats: QueryStats,
-    wall: Duration,
-    join_strategy: Option<String>,
-) {
-    record_analyzed(sql, stats, wall, join_strategy, None);
-}
-
-/// [`record_with_strategy`] plus the statement's analyzed plan (the
-/// rendered `EXPLAIN ANALYZE` tree), when the executor profiled it.
-pub fn record_analyzed(
+/// The rule id is read from this thread's [`QueryContextGuard`]; the
+/// join strategy is the planner's, when it planned one, and the
+/// analyzed plan is the rendered `EXPLAIN ANALYZE` tree, when the
+/// executor profiled the statement.
+pub fn record(
     sql: &str,
     stats: QueryStats,
     wall: Duration,
@@ -228,12 +214,16 @@ mod tests {
                     ..QueryStats::default()
                 },
                 Duration::from_micros(1),
+                None,
+                None,
             );
         }
         record(
             "SELECT slowlog_test_b",
             QueryStats::default(),
             Duration::ZERO,
+            None,
+            None,
         );
         let entries = entries();
         let a = entries
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn join_strategy_is_recorded_when_supplied() {
         set_threshold(Duration::ZERO);
-        record_with_strategy(
+        record(
             "SELECT slowlog_test_strategy",
             QueryStats {
                 join_hash_builds: 1,
@@ -275,6 +265,7 @@ mod tests {
             },
             Duration::from_micros(2),
             Some("a: seq scan, b: hash join on (k)".to_string()),
+            None,
         );
         let entry = entries()
             .into_iter()
@@ -290,7 +281,7 @@ mod tests {
     #[test]
     fn analyzed_plan_is_recorded_when_supplied() {
         set_threshold(Duration::ZERO);
-        record_analyzed(
+        record(
             "SELECT slowlog_test_analyzed",
             QueryStats::default(),
             Duration::from_micros(3),
@@ -308,6 +299,8 @@ mod tests {
             "SELECT slowlog_test_unanalyzed",
             QueryStats::default(),
             Duration::from_micros(3),
+            None,
+            None,
         );
         let entry = entries()
             .into_iter()
@@ -323,6 +316,8 @@ mod tests {
                 "SELECT slowlog_test_other_thread",
                 QueryStats::default(),
                 Duration::from_micros(1),
+                None,
+                None,
             )
         });
         let ((), captured) = capture(|| {
@@ -334,6 +329,8 @@ mod tests {
                     ..QueryStats::default()
                 },
                 Duration::ZERO,
+                None,
+                None,
             );
         });
         other.join().unwrap();
@@ -356,6 +353,8 @@ mod tests {
             "SELECT slowlog_test_dropped",
             QueryStats::default(),
             Duration::from_millis(5),
+            None,
+            None,
         );
         set_threshold(Duration::ZERO);
         assert!(entries()

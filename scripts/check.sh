@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# same_counts FILE FILTER: the exact counts FILTER picks from the
+# regenerated target/bench/FILE must equal the committed FILE's.
+same_counts() {
+  if [ "$(jq -S "$2" "$1")" != "$(jq -S "$2" "target/bench/$1")" ]; then
+    echo "error: target/bench/$1 counts differ from the committed $1:" >&2
+    diff <(jq -S "$2" "$1") <(jq -S "$2" "target/bench/$1") >&2 || true
+    exit 1
+  fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -22,8 +32,11 @@ cargo test -q --workspace
 echo "==> bench smoke (caching, single iteration)"
 cargo bench -p p3p-bench --bench caching -- --test
 
-echo "==> repro --table caching (warm-convert speedup floor)"
+echo "==> repro --table caching (warm-convert speedup floor + exact cache counts)"
 cargo run -q --release -p p3p-bench --bin repro -- --table caching > /dev/null
+same_counts BENCH_matching.json \
+  '{translation_cache: .translation_cache | {hits, misses, evictions},
+    plan_cache: .plan_cache | {hits, misses, evictions, invalidations}}'
 
 echo "==> bench smoke (bulk, single iteration)"
 cargo bench -p p3p-bench --bench bulk -- --test
@@ -53,11 +66,11 @@ P3P_FUZZ_CASES=50 cargo run -q --release -p p3p-bench --bin repro -- --table fuz
 echo "==> bench smoke (churn, single iteration)"
 cargo bench -p p3p-bench --bench churn -- --test
 
-echo "==> repro --table churn (verdict-cache hit-rate + cached-speedup floors)"
+echo "==> repro --table churn (verdict-cache hit-rate + cached-speedup floors + exact counts)"
 cargo run -q --release -p p3p-bench --bin repro -- --table churn > /dev/null
-grep -q '"hit_rate"' target/bench/BENCH_churn.json
-grep -q '"speedup"' target/bench/BENCH_churn.json
-grep -q '"cache_invalidations"' target/bench/BENCH_churn.json
+same_counts BENCH_churn.json \
+  '{updates, matches, hits, misses, final_epoch, cache_entries, cache_evictions,
+    cache_invalidations}'
 
 echo "==> bench smoke (serve, single iteration)"
 cargo bench -p p3p-bench --bench serve -- --test

@@ -18,7 +18,7 @@ fn full_server() -> PolicyServer {
 
 #[test]
 fn corpus_installs_and_engines_agree_everywhere() {
-    let mut server = full_server();
+    let server = full_server();
     let names = server.policy_names();
     assert_eq!(names.len(), 29);
     for level in Sensitivity::ALL {

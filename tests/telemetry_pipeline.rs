@@ -22,7 +22,7 @@ fn server_with_volga() -> PolicyServer {
 /// nothing bleeds across engines.
 #[test]
 fn match_outcome_stats_do_not_leak_across_engines() {
-    let mut server = server_with_volga();
+    let server = server_with_volga();
     let jane = jane_preference();
     let sql = server
         .match_preference(&jane, Target::Policy("volga"), EngineKind::Sql)
@@ -51,7 +51,7 @@ fn match_outcome_stats_do_not_leak_across_engines() {
 /// visible in both renderings.
 #[test]
 fn match_records_spans_and_metrics() {
-    let mut server = server_with_volga();
+    let server = server_with_volga();
     server
         .match_preference(
             &jane_preference(),
@@ -340,7 +340,7 @@ fn http_metrics_endpoint_matches_registry_render() {
 /// paper's §5.4 index discussion).
 #[test]
 fn explain_names_probed_indexes_for_a_category_rule() {
-    let mut server = server_with_volga();
+    let server = server_with_volga();
     let pref = p3p_suite::appel::parse::parse_ruleset_str(
         "<appel:RULESET><appel:RULE behavior=\"block\"><POLICY><STATEMENT><DATA-GROUP>\
          <DATA><CATEGORIES appel:connective=\"or\"><uniqueid/></CATEGORIES></DATA>\
