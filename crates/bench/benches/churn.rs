@@ -15,7 +15,7 @@ fn main() {
     print!("{}", churn_table(&report));
     assert!(report.matches > 0, "the churn stream evaluated no matches");
     assert!(
-        report.hits > 0,
+        report.cache.hits > 0,
         "the verdict cache served no hits across {} matches",
         report.matches
     );

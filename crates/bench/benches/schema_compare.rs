@@ -7,7 +7,7 @@
 //! harness (`harness = false`) instead of a criterion bench.
 
 use p3p_bench::{fmt_duration, setup_server, Sample};
-use p3p_server::appel2sql::{translate_rule_generic, translate_rule_optimized};
+use p3p_server::appel2sql::{translate_rule_generic, translate_rule_optimized, QueryForm};
 use p3p_server::generic::GenericSchema;
 use p3p_server::{EngineKind, Target};
 use p3p_workload::Sensitivity;
@@ -51,12 +51,12 @@ fn main() {
     println!("schema_compare_translate");
     bench("optimized", 50, || {
         for rule in &ruleset.rules {
-            translate_rule_optimized(rule).unwrap();
+            translate_rule_optimized(rule, QueryForm::Staged).unwrap();
         }
     });
     bench("generic", 50, || {
         for rule in &ruleset.rules {
-            translate_rule_generic(rule, &schema).unwrap();
+            translate_rule_generic(rule, &schema, QueryForm::Staged).unwrap();
         }
     });
 }

@@ -253,7 +253,7 @@ fn main() {
         let report = churn_report(seed, ops, 0.01);
         println!("{}", churn_table(&report));
         write_bench("churn", &bench_churn_json(&report));
-        let hit_rate = report.hit_rate();
+        let hit_rate = report.cache.hit_rate();
         if hit_rate < 0.8 {
             eprintln!(
                 "error: verdict-cache hit rate {hit_rate:.4} at 1% churn is below the 0.8 floor"

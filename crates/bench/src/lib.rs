@@ -653,22 +653,22 @@ pub fn bench_matching_json(seed: u64, report: &CachingReport) -> String {
 /// One engine's timings for deciding a preference against a whole
 /// corpus three ways: the per-policy loop, single-threaded
 /// [`PolicyServer::match_corpus`], and [`MatchPool::match_corpus`]
-/// sharded across threads. Each figure is the best of `runs` passes.
+/// sharded across threads. Each figure is the best of `runs` passes,
+/// and the passes are interleaved run for run, so every ratio between
+/// two of them compares measurements taken under the same machine
+/// conditions.
 #[derive(Debug, Clone)]
 pub struct BulkRow {
     pub engine: EngineKind,
     pub loop_time: Duration,
+    /// The single-threaded bulk sweep, columnar batch executor on (the
+    /// default).
     pub bulk_time: Duration,
     pub sharded_time: Duration,
-    /// The single-threaded bulk sweep re-timed with the columnar batch
-    /// executor forced off, for engines whose matching runs minidb SQL
-    /// (`None` for the tree-walking engines, where the knob is inert).
+    /// The single-threaded bulk sweep with the columnar batch executor
+    /// forced off, for engines whose matching runs minidb SQL (`None`
+    /// for the tree-walking engines, where the knob is inert).
     pub row_exec_bulk_time: Option<Duration>,
-    /// The columnar-on sweep timed in the same interleaved pass as
-    /// [`Self::row_exec_bulk_time`], so the two sides of the
-    /// columnar-over-row ratio see the same machine conditions instead
-    /// of measurements taken far apart in the run.
-    pub columnar_bulk_time: Option<Duration>,
     /// Set when the engine cannot decide the corpus at all (timings are
     /// zero in that case).
     pub error: Option<String>,
@@ -686,13 +686,10 @@ impl BulkRow {
     }
 
     /// How much faster the columnar batch executor runs the bulk sweep
-    /// than the row-at-a-time interpreter (both sides from the same
-    /// interleaved measurement pass).
+    /// than the row-at-a-time interpreter.
     pub fn columnar_speedup(&self) -> Option<f64> {
-        match (self.row_exec_bulk_time, self.columnar_bulk_time) {
-            (Some(row), Some(col)) => Some(ratio(row, col)),
-            _ => None,
-        }
+        self.row_exec_bulk_time
+            .map(|row| ratio(row, self.bulk_time))
     }
 }
 
@@ -719,9 +716,9 @@ fn best_of(runs: u32, mut f: impl FnMut() -> Result<()>) -> Result<Duration> {
 /// over an `n`-policy corpus with the High preference (the one level
 /// every engine can decide). The shard count follows the machine's
 /// available parallelism, so on a single-core box the sharded pass
-/// degenerates to the single-threaded bulk path by design. The SQL
-/// engines never shard, so their sharded pass is the pool's one-thread
-/// sweep.
+/// degenerates to the single-threaded bulk path by design. The
+/// SQL-backed engines never shard, so their sharded pass is the pool's
+/// one-thread sweep.
 pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
     let policies = corpus_n(seed, n);
     let mut server = PolicyServer::new();
@@ -742,82 +739,59 @@ pub fn bulk_report(seed: u64, n: usize, runs: u32) -> BulkReport {
         .map(|p| p.get())
         .unwrap_or(1);
     let mut rows = Vec::new();
-    // The columnar option only changes behavior where matching executes
-    // minidb SQL; the tree-walking engines would time the same code
-    // twice.
-    let sql_backed = |engine: EngineKind| {
-        matches!(
-            engine,
-            EngineKind::Sql | EngineKind::SqlGeneric | EngineKind::XQueryXTable
-        )
-    };
     for &engine in EngineKind::ALL {
-        type BulkTimings = (
-            Duration,
-            Duration,
-            Duration,
-            Option<Duration>,
-            Option<Duration>,
-        );
-        let timed = (|| -> Result<BulkTimings> {
-            // Warm-up: populate translation and plan caches so every
-            // timed pass measures steady state.
-            snapshot.match_corpus(&ruleset, engine)?;
-            let loop_time = best_of(runs, || {
+        // The columnar option only changes behavior where matching
+        // executes minidb SQL; the tree-walking engines would time the
+        // same code twice.
+        let sql_backed = !matches!(engine, EngineKind::Native | EngineKind::XQueryNative);
+        let passes: [&dyn Fn() -> Result<()>; 4] = [
+            &|| {
                 for name in &names {
                     snapshot.match_preference(&ruleset, Target::Policy(name), engine)?;
                 }
                 Ok(())
-            })?;
-            let bulk_time = best_of(runs, || snapshot.match_corpus(&ruleset, engine).map(|_| ()))?;
-            let sharded_time = best_of(runs, || {
-                pool.match_corpus(&ruleset, engine, shards).map(|_| ())
-            })?;
-            let (columnar_bulk_time, row_exec_bulk_time) = if sql_backed(engine) {
-                // Interleave the two executors run-for-run (each side
-                // keeps its own best-of) so drift on a noisy box can't
-                // masquerade as a columnar speedup or regression.
-                let mut best_col = Duration::MAX;
-                let mut best_row = Duration::MAX;
-                for _ in 0..runs.max(1) {
-                    let t = Instant::now();
-                    snapshot.match_corpus(&ruleset, engine)?;
-                    best_col = best_col.min(t.elapsed());
-                    let t = Instant::now();
+            },
+            &|| snapshot.match_corpus(&ruleset, engine).map(drop),
+            &|| pool.match_corpus(&ruleset, engine, shards).map(drop),
+            &|| {
+                if sql_backed {
                     row_engine.match_corpus(&ruleset, engine)?;
-                    best_row = best_row.min(t.elapsed());
                 }
-                (Some(best_col), Some(best_row))
-            } else {
-                (None, None)
-            };
-            Ok((
+                Ok(())
+            },
+        ];
+        let timed = (|| -> Result<[Duration; 4]> {
+            // Warm-up: populate translation and plan caches so every
+            // timed pass measures steady state.
+            snapshot.match_corpus(&ruleset, engine)?;
+            // Interleave the passes run for run, each keeping its own
+            // best-of, so drift on a noisy box lands on every pass
+            // alike instead of masquerading as a speedup or regression.
+            let mut best = [Duration::MAX; 4];
+            for _ in 0..runs.max(1) {
+                for (pass, best) in passes.iter().zip(&mut best) {
+                    let t = Instant::now();
+                    pass()?;
+                    *best = (*best).min(t.elapsed());
+                }
+            }
+            Ok(best)
+        })();
+        rows.push(match timed {
+            Ok([loop_time, bulk_time, sharded_time, row_exec]) => BulkRow {
+                engine,
                 loop_time,
                 bulk_time,
                 sharded_time,
-                columnar_bulk_time,
-                row_exec_bulk_time,
-            ))
-        })();
-        rows.push(match timed {
-            Ok((loop_time, bulk_time, sharded_time, columnar_bulk_time, row_exec_bulk_time)) => {
-                BulkRow {
-                    engine,
-                    loop_time,
-                    bulk_time,
-                    sharded_time,
-                    row_exec_bulk_time,
-                    columnar_bulk_time,
-                    error: None,
-                }
-            }
+                row_exec_bulk_time: sql_backed.then_some(row_exec),
+                error: None,
+            },
             Err(e) => BulkRow {
                 engine,
                 loop_time: Duration::ZERO,
                 bulk_time: Duration::ZERO,
                 sharded_time: Duration::ZERO,
                 row_exec_bulk_time: None,
-                columnar_bulk_time: None,
                 error: Some(e.to_string()),
             },
         });
@@ -893,16 +867,13 @@ pub fn bench_bulk_json(report: &BulkReport) -> String {
                 row.bulk_speedup(),
                 row.sharded_speedup(),
             );
-            if let (Some(row_us), Some(col_us), Some(speedup)) = (
-                row.row_exec_bulk_time,
-                row.columnar_bulk_time,
-                row.columnar_speedup(),
-            ) {
+            if let (Some(row_us), Some(speedup)) = (row.row_exec_bulk_time, row.columnar_speedup())
+            {
                 body.push_str(&format!(
                     ", \"row_exec_bulk_us\": {:.2}, \"columnar_bulk_us\": {:.2}, \
                      \"columnar_speedup\": {:.2}",
                     us(row_us),
-                    us(col_us),
+                    us(row.bulk_time),
                     speedup,
                 ));
             }
@@ -1739,32 +1710,21 @@ pub struct ChurnReport {
     pub updates: usize,
     /// Match operations evaluated.
     pub matches: usize,
-    /// Matches answered straight from the verdict cache.
-    pub hits: usize,
-    /// Matches that reached the engine.
-    pub misses: usize,
     /// Median convert+query latency of a cache hit.
     pub cached_p50: Duration,
     /// Median convert+query latency of an engine-computed match.
     pub uncached_p50: Duration,
     /// Catalog epoch after the stream (== installs + removals).
     pub final_epoch: u64,
-    /// Cache counters at the end of the stream.
+    /// Cache counters at the end of the stream: `hits` are matches
+    /// answered straight from the verdict cache, `misses` the matches
+    /// that reached the engine.
     pub cache: p3p_minidb::CacheStats,
     /// Verdicts the cache holds at the end of the stream.
     pub cache_entries: usize,
 }
 
 impl ChurnReport {
-    /// Hits over all match operations.
-    pub fn hit_rate(&self) -> f64 {
-        if self.matches == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.matches as f64
-        }
-    }
-
     /// How many times faster the median cache hit answers than the
     /// median engine-computed match.
     pub fn speedup(&self) -> f64 {
@@ -1857,8 +1817,6 @@ pub fn churn_report(seed: u64, ops: usize, churn_rate: f64) -> ChurnReport {
         churn_rate,
         updates,
         matches: cached.len() + uncached.len(),
-        hits: cached.len(),
-        misses: uncached.len(),
         cached_p50: p50(&mut cached),
         uncached_p50: p50(&mut uncached),
         final_epoch: server.catalog_epoch(),
@@ -1884,11 +1842,11 @@ pub fn churn_table(report: &ChurnReport) -> String {
         "Matches",
         report.matches,
         "Verdict-cache hits",
-        report.hits,
+        report.cache.hits,
         "Engine-computed",
-        report.misses,
+        report.cache.misses,
         "Hit rate",
-        report.hit_rate(),
+        report.cache.hit_rate(),
     ));
     out.push_str(&format!(
         "{:<28} {:>12}\n{:<28} {:>12}\n{:<28} {:>11.1}x\n",
@@ -1931,9 +1889,9 @@ pub fn bench_churn_json(report: &ChurnReport) -> String {
         report.churn_rate,
         report.updates,
         report.matches,
-        report.hits,
-        report.misses,
-        report.hit_rate(),
+        report.cache.hits,
+        report.cache.misses,
+        report.cache.hit_rate(),
         report.cached_p50.as_nanos() as f64 / 1e3,
         report.uncached_p50.as_nanos() as f64 / 1e3,
         report.speedup(),
@@ -2159,9 +2117,8 @@ pub fn bench_profile_json(report: &ProfileReport) -> String {
 /// Record a full sharded `match_corpus` sweep as spans and render the
 /// trace buffer as Chrome trace-event JSON — the payload
 /// `repro --trace-out` writes, loadable in `chrome://tracing` or
-/// Perfetto. The sweep runs the XQuery/XTABLE engine: it still shards
-/// (its sweep is a per-policy loop) and runs minidb per policy, so the
-/// trace shows shard lanes down to the executor.
+/// Perfetto. The sweep runs the native APPEL engine, whose sweep is a
+/// per-policy loop that shards, so the trace shows one lane per shard.
 pub fn export_trace(seed: u64) -> String {
     p3p_telemetry::span::set_capacity(65_536);
     p3p_telemetry::span::clear();
@@ -2174,7 +2131,7 @@ pub fn export_trace(seed: u64) -> String {
         .map(|p| p.get())
         .unwrap_or(1)
         .max(2);
-    pool.match_corpus(&ruleset, EngineKind::XQueryXTable, shards)
+    pool.match_corpus(&ruleset, EngineKind::Native, shards)
         .expect("trace sweep");
     p3p_telemetry::chrome_trace_json(&p3p_telemetry::span::recent())
 }

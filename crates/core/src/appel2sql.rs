@@ -11,6 +11,10 @@
 //!   that merges a vocabulary element's subqueries into one (Figure 15)
 //!   and resolves RETENTION/CONSEQUENCE/ACCESS to columns.
 //!
+//! Both take a [`QueryForm`]: the paper's staged text, the bound form
+//! the server runs per policy, or the corpus form it runs per sweep.
+//! The XTABLE compiler ([`crate::xtable`]) renders the same forms.
+//!
 //! Connectives: `and`, `or`, `non-and`, `non-or` translate for both
 //! schemas. The `*-exact` connectives translate only in the optimized
 //! schema and only on vocabulary elements (PURPOSE, RECIPIENT,
@@ -69,11 +73,13 @@ fn combine(connective: Connective, conds: &[String]) -> String {
 const FALSE_COND: &str = "1 = 0";
 
 /// The outer query shape a rule translates into. The inner condition
-/// text is identical across forms; only the prefix differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryForm {
-    /// `SELECT '<behavior>' FROM applicable_policy …` against a staged
-    /// single-policy table.
+/// text is identical across forms; only the prefix differs, and every
+/// form names the policy under test `applicable_policy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryForm {
+    /// `SELECT '<behavior>' FROM applicable_policy …` against the
+    /// one-row `ApplicablePolicy` table of the paper (§5.3.1; Figures
+    /// 13 and 15). The text the paper shows; the server never runs it.
     Staged,
     /// `SELECT '<behavior>' FROM <policy> applicable_policy WHERE
     /// applicable_policy.policy_id = ? …` — one policy per execution,
@@ -88,7 +94,7 @@ enum QueryForm {
 /// Render the outer query for `form` around the combined rule
 /// condition (`None` for an unconditional rule). `policy_table` is the
 /// corpus-wide policy table of the target schema.
-fn render_form(
+pub(crate) fn render_form(
     form: QueryForm,
     behavior: &str,
     policy_table: &str,
@@ -132,38 +138,9 @@ fn render_form(
 // Generic translation (Figure 11)
 // =======================================================================
 
-/// Translate one APPEL rule into SQL against the generic schema. The
-/// query selects the rule's behavior from `applicable_policy` when the
-/// pattern matches the staged policy.
-pub fn translate_rule_generic(rule: &Rule, schema: &GenericSchema) -> Result<String, ServerError> {
-    translate_generic(rule, schema, QueryForm::Staged)
-}
-
-/// Like [`translate_rule_generic`], but parameterized: instead of
-/// reading a staged `applicable_policy` table, the query scans the
-/// generic policy table under the alias `applicable_policy` and pins
-/// the policy under test with a `?` bind parameter. The inner
-/// correlation text is byte-identical to the staged form, and the
-/// DELETE+INSERT staging round-trip disappears.
-pub fn translate_rule_generic_bound(
-    rule: &Rule,
-    schema: &GenericSchema,
-) -> Result<String, ServerError> {
-    translate_generic(rule, schema, QueryForm::Bound)
-}
-
-/// Corpus form of the generic translation: one query returning the
-/// `policy_id` of **every** installed policy the rule matches
-/// (set-at-a-time, paper §3). No parameters; the caller folds
-/// first-matching-rule semantics over the returned id sets.
-pub fn translate_rule_generic_corpus(
-    rule: &Rule,
-    schema: &GenericSchema,
-) -> Result<String, ServerError> {
-    translate_generic(rule, schema, QueryForm::Corpus)
-}
-
-fn translate_generic(
+/// Translate one APPEL rule into SQL against the generic schema, in
+/// the outer `form` around the rule's condition.
+pub fn translate_rule_generic(
     rule: &Rule,
     schema: &GenericSchema,
     form: QueryForm,
@@ -339,30 +316,9 @@ fn generic_exactness(
 // Optimized translation (Figures 14/15)
 // =======================================================================
 
-/// Translate one APPEL rule into SQL against the optimized schema.
-pub fn translate_rule_optimized(rule: &Rule) -> Result<String, ServerError> {
-    translate_optimized(rule, QueryForm::Staged)
-}
-
-/// Like [`translate_rule_optimized`], but parameterized: instead of
-/// reading a staged `applicable_policy` table, the query scans the
-/// `policy` table under the alias `applicable_policy` and pins the
-/// policy under test with a `?` bind parameter. The inner correlation
-/// text is byte-identical to the staged form, and the DELETE+INSERT
-/// staging round-trip disappears.
-pub fn translate_rule_optimized_bound(rule: &Rule) -> Result<String, ServerError> {
-    translate_optimized(rule, QueryForm::Bound)
-}
-
-/// Corpus form of the optimized translation: one query returning the
-/// `policy_id` of **every** installed policy the rule matches
-/// (set-at-a-time, paper §3). No parameters; the caller folds
-/// first-matching-rule semantics over the returned id sets.
-pub fn translate_rule_optimized_corpus(rule: &Rule) -> Result<String, ServerError> {
-    translate_optimized(rule, QueryForm::Corpus)
-}
-
-fn translate_optimized(rule: &Rule, form: QueryForm) -> Result<String, ServerError> {
+/// Translate one APPEL rule into SQL against the optimized schema, in
+/// the outer `form` around the rule's condition.
+pub fn translate_rule_optimized(rule: &Rule, form: QueryForm) -> Result<String, ServerError> {
     let mut aliases = Aliases::new();
     let behavior = rule.behavior.as_str();
     if rule.pattern.is_empty() {
@@ -833,7 +789,7 @@ mod tests {
 
     #[test]
     fn optimized_translation_matches_figure_15_shape() {
-        let sql = translate_rule_optimized(&figure_12_rule()).unwrap();
+        let sql = translate_rule_optimized(&figure_12_rule(), QueryForm::Staged).unwrap();
         assert!(sql.starts_with("SELECT 'block' FROM applicable_policy WHERE "));
         // Figure 15: a single merged purpose subquery with OR'd value
         // conditions including the required attribute.
@@ -848,7 +804,7 @@ mod tests {
     #[test]
     fn generic_translation_matches_figure_13_shape() {
         let schema = GenericSchema::default();
-        let sql = translate_rule_generic(&figure_12_rule(), &schema).unwrap();
+        let sql = translate_rule_generic(&figure_12_rule(), &schema, QueryForm::Staged).unwrap();
         // Figure 13: one subquery per element, incl. the value tables.
         for marker in [
             "FROM g_policy",
@@ -867,7 +823,7 @@ mod tests {
     #[test]
     fn jane_rules_translate() {
         for rule in &jane_preference().rules {
-            let sql = translate_rule_optimized(rule).unwrap();
+            let sql = translate_rule_optimized(rule, QueryForm::Staged).unwrap();
             assert!(sql.contains("FROM applicable_policy"));
         }
     }
@@ -876,7 +832,7 @@ mod tests {
     fn empty_pattern_translates_to_unconditional_select() {
         let rule = Rule::unconditional(Behavior::Request);
         assert_eq!(
-            translate_rule_optimized(&rule).unwrap(),
+            translate_rule_optimized(&rule, QueryForm::Staged).unwrap(),
             "SELECT 'request' FROM applicable_policy"
         );
     }
@@ -890,7 +846,7 @@ mod tests {
                  </STATEMENT></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert_eq!(sql.matches("FROM purpose").count(), 2, "{sql}");
     }
 
@@ -903,7 +859,7 @@ mod tests {
                  </STATEMENT></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains("NOT EXISTS (SELECT * FROM recipient"), "{sql}");
     }
 
@@ -916,7 +872,7 @@ mod tests {
                  </STATEMENT></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(
             sql.contains("AND NOT EXISTS (SELECT * FROM purpose"),
             "{sql}"
@@ -932,11 +888,11 @@ mod tests {
                </appel:RULE></appel:RULESET>"#,
         );
         assert!(matches!(
-            translate_rule_optimized(&rule),
+            translate_rule_optimized(&rule, QueryForm::Staged),
             Err(ServerError::Unsupported(_))
         ));
         assert!(matches!(
-            translate_rule_generic(&rule, &GenericSchema::default()),
+            translate_rule_generic(&rule, &GenericSchema::default(), QueryForm::Staged),
             Err(ServerError::Unsupported(_))
         ));
     }
@@ -950,7 +906,7 @@ mod tests {
                  </STATEMENT></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains(".retention = 'indefinitely'"), "{sql}");
         assert!(!sql.contains("FROM retention"), "{sql}");
     }
@@ -966,7 +922,7 @@ mod tests {
                  </DATA-GROUP></STATEMENT></POLICY>
                </appel:RULE></appel:RULESET>"##,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains(".ref = 'user.bdate'"), "{sql}");
         assert!(sql.contains(".category = 'demographic'"), "{sql}");
     }
@@ -979,9 +935,10 @@ mod tests {
                  <POLICY><PURPOSE><admin/></PURPOSE></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains("1 = 0"), "{sql}");
-        let gsql = translate_rule_generic(&rule, &GenericSchema::default()).unwrap();
+        let gsql =
+            translate_rule_generic(&rule, &GenericSchema::default(), QueryForm::Staged).unwrap();
         assert!(gsql.contains("1 = 0"), "{gsql}");
     }
 
@@ -992,7 +949,9 @@ mod tests {
                  <POLICY><WEIRD/></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        assert!(translate_rule_optimized(&rule).unwrap().contains("1 = 0"));
+        assert!(translate_rule_optimized(&rule, QueryForm::Staged)
+            .unwrap()
+            .contains("1 = 0"));
     }
 
     #[test]
@@ -1002,7 +961,7 @@ mod tests {
                  <POLICY><ACCESS><none/></ACCESS></POLICY>
                </appel:RULE></appel:RULESET>"#,
         );
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains(".access = 'none'"), "{sql}");
     }
 
@@ -1010,13 +969,13 @@ mod tests {
     fn behavior_quoting_is_safe() {
         let mut rule = Rule::unconditional(Behavior::Custom("it's".to_string()));
         rule.pattern.clear();
-        let sql = translate_rule_optimized(&rule).unwrap();
+        let sql = translate_rule_optimized(&rule, QueryForm::Staged).unwrap();
         assert!(sql.contains("'it''s'"));
     }
 
     #[test]
     fn bound_translation_aliases_policy_as_applicable_policy() {
-        let sql = translate_rule_optimized_bound(&figure_12_rule()).unwrap();
+        let sql = translate_rule_optimized(&figure_12_rule(), QueryForm::Bound).unwrap();
         assert!(
             sql.starts_with(
                 "SELECT 'block' FROM policy applicable_policy \
@@ -1025,7 +984,7 @@ mod tests {
             "{sql}"
         );
         // The inner conditions are byte-identical to the staged form.
-        let staged = translate_rule_optimized(&figure_12_rule()).unwrap();
+        let staged = translate_rule_optimized(&figure_12_rule(), QueryForm::Staged).unwrap();
         let staged_conds = staged.split_once(" WHERE ").unwrap().1;
         assert!(sql.ends_with(&format!("({staged_conds})")), "{sql}");
     }
@@ -1034,7 +993,7 @@ mod tests {
     fn bound_unconditional_rule_checks_policy_existence() {
         let rule = Rule::unconditional(Behavior::Request);
         assert_eq!(
-            translate_rule_optimized_bound(&rule).unwrap(),
+            translate_rule_optimized(&rule, QueryForm::Bound).unwrap(),
             "SELECT 'request' FROM policy applicable_policy \
              WHERE applicable_policy.policy_id = ?"
         );
@@ -1043,7 +1002,7 @@ mod tests {
     #[test]
     fn bound_generic_translation_uses_generic_policy_table() {
         let schema = GenericSchema::default();
-        let sql = translate_rule_generic_bound(&figure_12_rule(), &schema).unwrap();
+        let sql = translate_rule_generic(&figure_12_rule(), &schema, QueryForm::Bound).unwrap();
         assert!(
             sql.starts_with(
                 "SELECT 'block' FROM g_policy applicable_policy \
@@ -1058,8 +1017,8 @@ mod tests {
         let schema = GenericSchema::default();
         for rule in &jane_preference().rules {
             for sql in [
-                translate_rule_optimized_bound(rule).unwrap(),
-                translate_rule_generic_bound(rule, &schema).unwrap(),
+                translate_rule_optimized(rule, QueryForm::Bound).unwrap(),
+                translate_rule_generic(rule, &schema, QueryForm::Bound).unwrap(),
             ] {
                 let (_, params) = p3p_minidb::sql::parse_statement_params(&sql).unwrap();
                 assert_eq!(params.len(), 1, "{sql}");
@@ -1069,7 +1028,7 @@ mod tests {
 
     #[test]
     fn corpus_translation_selects_distinct_policy_ids() {
-        let sql = translate_rule_optimized_corpus(&figure_12_rule()).unwrap();
+        let sql = translate_rule_optimized(&figure_12_rule(), QueryForm::Corpus).unwrap();
         assert!(
             sql.starts_with(
                 "SELECT DISTINCT applicable_policy.policy_id \
@@ -1079,7 +1038,7 @@ mod tests {
         );
         assert!(sql.ends_with(')'), "{sql}");
         // The inner conditions are byte-identical to the staged form.
-        let staged = translate_rule_optimized(&figure_12_rule()).unwrap();
+        let staged = translate_rule_optimized(&figure_12_rule(), QueryForm::Staged).unwrap();
         let staged_conds = staged.split_once(" WHERE ").unwrap().1;
         assert!(sql.contains(staged_conds), "{sql}");
         // No bind parameters: one execution covers the whole corpus.
@@ -1091,12 +1050,12 @@ mod tests {
     fn corpus_unconditional_rule_scans_the_policy_table() {
         let rule = Rule::unconditional(Behavior::Request);
         assert_eq!(
-            translate_rule_optimized_corpus(&rule).unwrap(),
+            translate_rule_optimized(&rule, QueryForm::Corpus).unwrap(),
             "SELECT DISTINCT applicable_policy.policy_id FROM policy applicable_policy"
         );
         let schema = GenericSchema::default();
         assert_eq!(
-            translate_rule_generic_corpus(&rule, &schema).unwrap(),
+            translate_rule_generic(&rule, &schema, QueryForm::Corpus).unwrap(),
             "SELECT DISTINCT applicable_policy.policy_id FROM g_policy applicable_policy"
         );
     }
@@ -1104,7 +1063,7 @@ mod tests {
     #[test]
     fn corpus_generic_translation_uses_generic_policy_table() {
         let schema = GenericSchema::default();
-        let sql = translate_rule_generic_corpus(&figure_12_rule(), &schema).unwrap();
+        let sql = translate_rule_generic(&figure_12_rule(), &schema, QueryForm::Corpus).unwrap();
         assert!(
             sql.starts_with(
                 "SELECT DISTINCT applicable_policy.policy_id \
@@ -1119,8 +1078,8 @@ mod tests {
         let schema = GenericSchema::default();
         for rule in &jane_preference().rules {
             for sql in [
-                translate_rule_optimized_corpus(rule).unwrap(),
-                translate_rule_generic_corpus(rule, &schema).unwrap(),
+                translate_rule_optimized(rule, QueryForm::Corpus).unwrap(),
+                translate_rule_generic(rule, &schema, QueryForm::Corpus).unwrap(),
             ] {
                 p3p_minidb::sql::parse_statement(&sql).unwrap();
             }
@@ -1131,9 +1090,10 @@ mod tests {
     fn generated_sql_parses() {
         // All of Jane's rules must be syntactically valid for minidb.
         for rule in &jane_preference().rules {
-            let sql = translate_rule_optimized(rule).unwrap();
+            let sql = translate_rule_optimized(rule, QueryForm::Staged).unwrap();
             p3p_minidb::sql::parse_statement(&sql).unwrap();
-            let gsql = translate_rule_generic(rule, &GenericSchema::default()).unwrap();
+            let gsql =
+                translate_rule_generic(rule, &GenericSchema::default(), QueryForm::Staged).unwrap();
             p3p_minidb::sql::parse_statement(&gsql).unwrap();
         }
     }

@@ -109,10 +109,10 @@ impl MatchPool {
     }
 
     /// Match against the snapshot. Each call clones the snapshot handle
-    /// (an `Arc` bump) and matches zero-copy: the SQL engines bind the
-    /// policy id as a parameter and the XTable engine stages into a
-    /// copy-on-write fork, so no per-call deep copy of server state is
-    /// made and any number of threads can match simultaneously.
+    /// (an `Arc` bump) and matches zero-copy: the SQL-backed engines
+    /// bind the policy id as a parameter, so no per-call copy of server
+    /// state is made and any number of threads can match
+    /// simultaneously.
     pub fn match_preference(
         &self,
         ruleset: &Ruleset,
@@ -125,7 +125,7 @@ impl MatchPool {
 
     /// Corpus matching, sharded across threads where sharding divides
     /// the work. For the engines whose sweep is a per-policy loop
-    /// (native APPEL and both XQuery engines) the installed-policy
+    /// (native APPEL and XQuery on the XML store) the installed-policy
     /// roster (already in name order) is split into `shards`
     /// contiguous chunks and each chunk runs
     /// [`PolicyServer::match_corpus_subset`] on its own thread against
@@ -133,17 +133,14 @@ impl MatchPool {
     /// into name order, so the result is identical to a single-threaded
     /// [`PolicyServer::match_corpus`] call.
     ///
-    /// The SQL engines ignore `shards` and sweep once on the calling
-    /// thread: their sweep is O(rules) corpus queries whose decorrelated
-    /// EXISTS builds hash corpus-wide tables whatever a shard's
-    /// `IN (…)` list, so every shard would repeat nearly the whole
-    /// sweep.
-    ///
-    /// Every shard runs under the snapshot's
-    /// [`ExecOptions`](p3p_minidb::ExecOptions), which it inherited from
-    /// the primary's database, and the shards' `ExecStats` are summed
-    /// into the calling thread's, so `exec::stats_snapshot()` after the
-    /// call covers the whole sweep however it was split.
+    /// The SQL-backed engines (both APPEL→SQL schemas and XTABLE)
+    /// ignore `shards` and sweep once on the calling thread, under the
+    /// snapshot's [`ExecOptions`](p3p_minidb::ExecOptions): their sweep
+    /// is O(rules) corpus queries whose decorrelated EXISTS builds hash
+    /// corpus-wide tables whatever a shard's `IN (…)` list, so every
+    /// shard would repeat nearly the whole sweep. The engines that
+    /// shard run no minidb queries, so `exec::stats_snapshot()` after
+    /// any sweep reports the sweep's executor work.
     pub fn match_corpus(
         &self,
         ruleset: &Ruleset,
@@ -166,14 +163,14 @@ impl MatchPool {
     ) -> Result<(u64, Vec<(String, Verdict)>), ServerError> {
         let snapshot = self.snapshot.read().unwrap().clone();
         let epoch = snapshot.catalog_epoch();
-        let set_at_a_time = matches!(engine, EngineKind::Sql | EngineKind::SqlGeneric);
-        let names = if set_at_a_time {
-            Vec::new()
-        } else {
+        let per_policy = matches!(engine, EngineKind::Native | EngineKind::XQueryNative);
+        let names = if per_policy {
             snapshot.policy_names()
+        } else {
+            Vec::new()
         };
         let shards = shards.clamp(1, names.len().max(1));
-        if shards <= 1 || set_at_a_time {
+        if shards <= 1 {
             return Ok((epoch, snapshot.match_corpus(ruleset, engine)?));
         }
         let chunk = names.len().div_ceil(shards);
@@ -188,8 +185,7 @@ impl MatchPool {
                     scope.spawn(move || {
                         let _shard =
                             p3p_telemetry::span!("corpus_shard", shard = i, policies = part.len());
-                        let verdicts = snapshot.match_corpus_subset(ruleset, engine, Some(part));
-                        (verdicts, exec::stats_snapshot())
+                        snapshot.match_corpus_subset(ruleset, engine, Some(part))
                     })
                 })
                 .collect();
@@ -200,8 +196,7 @@ impl MatchPool {
         });
         exec::reset_stats();
         let mut out = Vec::with_capacity(names.len());
-        for (verdicts, stats) in results {
-            exec::add_stats(&stats);
+        for verdicts in results {
             out.extend(verdicts?);
         }
         Ok((epoch, out))
@@ -314,53 +309,18 @@ mod tests {
         });
         let snapshot = shared.snapshot();
         let ruleset = Sensitivity::High.ruleset();
-        // Warm both sides' caches so the measured sweeps do equal work.
-        pool.match_corpus(&ruleset, EngineKind::Sql, 1).unwrap();
-        snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
-        snapshot.match_corpus(&ruleset, EngineKind::Sql).unwrap();
-        let single = exec::stats_snapshot();
-        pool.match_corpus(&ruleset, EngineKind::Sql, 4).unwrap();
-        let pooled = exec::stats_snapshot();
-        assert!(single.exists_builds > 0, "{single:?}");
-        assert_eq!(pooled, single);
-    }
-
-    #[test]
-    fn sharded_sweeps_run_under_the_pools_options_and_report_every_shard() {
-        let ruleset = Sensitivity::High.ruleset();
-        // (a) pins the correlated nested loop, so no shard may build a
-        // set; (b) decorrelates every EXISTS, which the columnar kernels
-        // would otherwise answer, on the row engine.
-        let nested_loop = ExecOptions {
-            decorrelate_after: Some(u32::MAX),
-            ..ExecOptions::default()
-        };
-        let row_engine_sets = ExecOptions {
-            decorrelate_after: Some(0),
-            columnar: false,
-            ..ExecOptions::default()
-        };
-        for (options, builds_sets) in [(nested_loop, false), (row_engine_sets, true)] {
-            let (_shared, pool) = pool_under(options);
-            // Rows read and output are left out: each extra shard stages
-            // its first policy into a fresh fork, which reads one row
-            // fewer than restaging the previous policy's.
-            let work = |shards| {
-                exec::reset_stats();
-                pool.match_corpus(&ruleset, EngineKind::XQueryXTable, shards)
-                    .unwrap();
-                let s = exec::stats_snapshot();
-                [
-                    s.subqueries,
-                    s.index_probes,
-                    s.seq_scans,
-                    s.exists_builds,
-                    s.exists_probes,
-                ]
-            };
-            let one = work(1);
-            assert_eq!(work(3), one, "{options:?}");
-            assert_eq!(one[3] > 0, builds_sets, "{options:?}: {one:?}");
+        for engine in [EngineKind::Sql, EngineKind::XQueryXTable] {
+            // Warm both sides' caches so the measured sweeps do equal
+            // work.
+            pool.match_corpus(&ruleset, engine, 1).unwrap();
+            snapshot.match_corpus(&ruleset, engine).unwrap();
+            snapshot.match_corpus(&ruleset, engine).unwrap();
+            let single = exec::stats_snapshot();
+            // A shard thread's work would not show on this thread.
+            pool.match_corpus(&ruleset, engine, 4).unwrap();
+            let pooled = exec::stats_snapshot();
+            assert!(single.exists_builds > 0, "{engine:?}: {single:?}");
+            assert_eq!(pooled, single, "{engine:?}");
         }
     }
 

@@ -4,17 +4,18 @@
 //! The META element's POLICY-REF entries are shredded into relational
 //! tables; at match time a SQL query over them finds the policy whose
 //! INCLUDE patterns cover the requested URI and whose EXCLUDE patterns
-//! do not. The result is materialized in the one-row temporary table
-//! `applicable_policy` exactly as the paper's translation assumes
+//! do not. The paper stores that id in a one-row temporary table
 //! ("the result of this subquery has been stored in the one-row
-//! temporary table ApplicablePolicy" — §5.3.1).
+//! temporary table ApplicablePolicy" — §5.3.1); the server instead
+//! binds it as the parameter of the translated queries, which alias
+//! the policy table as `applicable_policy` (see
+//! [`crate::appel2sql::QueryForm`]).
 
 use crate::error::ServerError;
 use p3p_minidb::{Database, Value};
 use p3p_policy::reference::ReferenceFile;
 
-/// DDL for the reference-file tables (Figure 16) plus the
-/// `applicable_policy` staging table.
+/// DDL for the reference-file tables (Figure 16).
 pub fn reference_ddl() -> Vec<String> {
     let mut out = vec![
         "CREATE TABLE meta (meta_id INT NOT NULL, PRIMARY KEY (meta_id))".to_string(),
@@ -33,7 +34,6 @@ pub fn reference_ddl() -> Vec<String> {
             "CREATE INDEX idx_{t}_fk ON {t} (meta_id, policyref_id)"
         ));
     }
-    out.push("CREATE TABLE applicable_policy (policy_id INT NOT NULL)".to_string());
     out
 }
 
@@ -140,15 +140,6 @@ pub fn applicable_cookie_policy(db: &Database, cookie: &str) -> Result<Option<i6
     Ok(result.rows.first().and_then(|r| r[0].as_int()))
 }
 
-/// Materialize the applicable policy id into the one-row
-/// `applicable_policy` table the translated queries select from.
-pub fn stage_applicable(db: &mut Database, policy_id: i64) -> Result<(), ServerError> {
-    db.execute("DELETE FROM applicable_policy")?;
-    let plan = db.prepare("INSERT INTO applicable_policy VALUES (?)")?;
-    db.execute_prepared(&plan, &[Value::Int(policy_id)])?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,16 +241,6 @@ mod tests {
             let sql = applicable_policy(&db, uri).unwrap();
             assert_eq!(model, sql, "disagreement on {uri}");
         }
-    }
-
-    #[test]
-    fn staging_replaces_previous_row() {
-        let mut db = installed();
-        stage_applicable(&mut db, 10).unwrap();
-        stage_applicable(&mut db, 20).unwrap();
-        let r = db.query("SELECT policy_id FROM applicable_policy").unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.scalar().unwrap().as_int(), Some(20));
     }
 
     #[test]

@@ -18,16 +18,13 @@
 //! * [`EngineKind::Native`] — the client-centric baseline: the native
 //!   APPEL engine re-parsing and re-augmenting the policy per match.
 
-use crate::appel2sql::{
-    translate_rule_generic_bound, translate_rule_generic_corpus, translate_rule_optimized_bound,
-    translate_rule_optimized_corpus,
-};
+use crate::appel2sql::{translate_rule_generic, translate_rule_optimized, QueryForm};
 use crate::appel2xquery::translate_rule_xquery;
 use crate::error::ServerError;
 use crate::generic::GenericSchema;
 use crate::optimized;
 use crate::refschema;
-use crate::translation::{TranslatedPlans, TranslationCache, TranslationVariant};
+use crate::translation::{TranslatedPlans, TranslationCache};
 use crate::verdict_cache::{self, VerdictCache, VerdictKey};
 use crate::view;
 use crate::xtable::XTable;
@@ -513,11 +510,10 @@ impl PolicyServer {
     /// starts from a zeroed executor-stats window so one engine's scans
     /// and probes never bleed into the next engine's accounting.
     ///
-    /// Matching never mutates server state. The SQL engines run bound
-    /// prepared plans with the policy id as a parameter; the XTable
-    /// engine stages into a copy-on-write fork of the database. This is
-    /// what lets [`crate::concurrent::MatchPool`] match straight off a
-    /// shared snapshot with no per-match deep copy.
+    /// Matching never mutates server state: the three SQL-backed
+    /// engines run bound prepared plans with the policy id as a
+    /// parameter. This is what lets [`crate::concurrent::MatchPool`]
+    /// match straight off a shared snapshot with no per-match copy.
     pub fn match_preference(
         &self,
         ruleset: &Ruleset,
@@ -547,10 +543,8 @@ impl PolicyServer {
             }
             let outcome = match engine {
                 EngineKind::Native => self.match_native(ruleset, policy_id),
-                EngineKind::Sql => self.match_sql(ruleset, policy_id, false),
-                EngineKind::SqlGeneric => self.match_sql(ruleset, policy_id, true),
-                EngineKind::XQueryXTable => self.match_xtable(ruleset, policy_id),
                 EngineKind::XQueryNative => self.match_xquery_native(ruleset, policy_id),
+                _ => self.match_sql(ruleset, policy_id, engine),
             }?;
             if let Some(key) = key {
                 self.verdicts.insert(key, outcome.verdict.clone());
@@ -585,7 +579,7 @@ impl PolicyServer {
                 .observe_duration(outcome.convert);
                 phase("execute").observe_duration(outcome.query);
                 // Everything outside translate/execute: target
-                // resolution, staging, and verdict assembly.
+                // resolution and verdict assembly.
                 phase("verdict")
                     .observe_duration(wall.saturating_sub(outcome.convert + outcome.query));
             }
@@ -619,37 +613,77 @@ impl PolicyServer {
         ))
     }
 
+    /// One rule's SQL for a SQL-backed engine in `form`. The XTABLE
+    /// engine compiles APPEL → XQuery text → (reparse) → XTABLE → SQL;
+    /// an unconditional rule has no XQuery, and its SQL is the generic
+    /// schema's bare form over `g_policy`.
+    fn translate(
+        &self,
+        rule: &Rule,
+        engine: EngineKind,
+        form: QueryForm,
+    ) -> Result<String, ServerError> {
+        match engine {
+            EngineKind::Sql => translate_rule_optimized(rule, form),
+            EngineKind::XQueryXTable if !rule.pattern.is_empty() => {
+                let text = translate_rule_xquery(rule, "applicable-policy")?.to_string();
+                let reparsed = p3p_xquery::parse_xquery(&text)?;
+                Ok(self.xtable.compile(&reparsed, form)?)
+            }
+            EngineKind::SqlGeneric | EngineKind::XQueryXTable => {
+                translate_rule_generic(rule, &self.generic, form)
+            }
+            EngineKind::Native | EngineKind::XQueryNative => {
+                unreachable!("{engine:?} runs no SQL")
+            }
+        }
+    }
+
+    /// Convert phase of the SQL-backed engines: "We translate each rule
+    /// into a SQL query ... and submit the queries to the database in
+    /// order" (§5.3) — the whole preference is translated and prepared
+    /// before the first query runs, and the plans are cached per
+    /// ruleset, engine and form. A rule beyond the XTABLE compiler's
+    /// capability fails the preference, as it did for the Medium level
+    /// in the paper (§6.3.2); that size limit maps to a typed
+    /// `Unsupported` so callers can classify it rather than treat it as
+    /// an engine failure.
+    fn sql_plans(
+        &self,
+        ruleset: &Ruleset,
+        engine: EngineKind,
+        form: QueryForm,
+    ) -> Result<(TranslatedPlans, bool), ServerError> {
+        let built = self
+            .translations
+            .get_or_try_insert(ruleset, engine, form, || {
+                ruleset
+                    .rules
+                    .iter()
+                    .map(|rule| Ok(self.db.prepare(&self.translate(rule, engine, form)?)?))
+                    .collect::<Result<Vec<_>, ServerError>>()
+            });
+        match built {
+            Err(ServerError::XQuery(p3p_xquery::XQueryError::TooComplex { size, limit })) => {
+                Err(ServerError::Unsupported(format!(
+                    "XTABLE cannot compile this preference: query size {size} exceeds limit {limit}"
+                )))
+            }
+            other => other,
+        }
+    }
+
+    /// The point path of the SQL-backed engines: the policy id is a
+    /// bound parameter, so the same cached plans serve every policy.
     fn match_sql(
         &self,
         ruleset: &Ruleset,
         policy_id: i64,
-        generic: bool,
+        engine: EngineKind,
     ) -> Result<MatchOutcome, ServerError> {
-        // Convert phase: "We translate each rule into a SQL query ...
-        // and submit the queries to the database in order" (§5.3) — the
-        // whole preference is translated before the first query runs,
-        // and the prepared plans are cached per ruleset. The policy id
-        // is a bound parameter, so the same plans serve every policy
-        // with no staging round-trip.
-        let variant = if generic {
-            TranslationVariant::Generic
-        } else {
-            TranslationVariant::Optimized
-        };
         let translate_span = span!("translate");
         let t0 = Instant::now();
-        let (plans, cached) = self.translations.get_or_try_insert(ruleset, variant, || {
-            let mut plans = Vec::with_capacity(ruleset.rules.len());
-            for rule in &ruleset.rules {
-                let sql = if generic {
-                    translate_rule_generic_bound(rule, &self.generic)?
-                } else {
-                    translate_rule_optimized_bound(rule)?
-                };
-                plans.push(Some(self.db.prepare(&sql)?));
-            }
-            Ok::<_, ServerError>(plans)
-        })?;
+        let (plans, cached) = self.sql_plans(ruleset, engine, QueryForm::Bound)?;
         let convert = t0.elapsed();
         drop(translate_span);
         // Query phase: run in order; the first non-empty result fires.
@@ -665,9 +699,6 @@ impl PolicyServer {
         let mut verdict = Verdict::default_block();
         for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
             let _ctx = QueryContextGuard::rule(index as u64);
-            let plan = plan
-                .as_ref()
-                .expect("SQL translation yields a plan per rule");
             let result = self.db.query_prepared(plan, &params)?;
             if self.db.options().profile {
                 if let Some(profile) = p3p_minidb::exec::take_last_profile() {
@@ -683,64 +714,6 @@ impl PolicyServer {
             analyzed,
             ..MatchOutcome::computed(verdict, convert, t1.elapsed(), cached)
         })
-    }
-
-    /// Convert phase of the XTABLE engine: APPEL → XQuery text →
-    /// (reparse) → XTABLE → SQL for the whole preference, cached per
-    /// ruleset. A rule beyond the compiler's capability fails the
-    /// preference, as it did for the Medium level in the paper
-    /// (§6.3.2) — that size limit maps to a typed `Unsupported` so
-    /// callers can classify it rather than treat it as an engine
-    /// failure. Unconditional (OTHERWISE) rules carry no query.
-    fn xtable_plans(&self, ruleset: &Ruleset) -> Result<(TranslatedPlans, bool), ServerError> {
-        let built =
-            self.translations
-                .get_or_try_insert(ruleset, TranslationVariant::XTable, || {
-                    let mut plans = Vec::with_capacity(ruleset.rules.len());
-                    for rule in &ruleset.rules {
-                        if rule.pattern.is_empty() {
-                            plans.push(None);
-                            continue;
-                        }
-                        let xq = translate_rule_xquery(rule, "applicable-policy")?;
-                        let text = xq.to_string();
-                        let reparsed = p3p_xquery::parse_xquery(&text)?;
-                        let sql = self.xtable.compile(&reparsed)?;
-                        plans.push(Some(self.db.prepare(&sql)?));
-                    }
-                    Ok::<_, ServerError>(plans)
-                });
-        match built {
-            Err(ServerError::XQuery(p3p_xquery::XQueryError::TooComplex { size, limit })) => {
-                Err(ServerError::Unsupported(format!(
-                    "XTABLE cannot compile this preference: query size {size} exceeds limit {limit}"
-                )))
-            }
-            other => other,
-        }
-    }
-
-    fn match_xtable(&self, ruleset: &Ruleset, policy_id: i64) -> Result<MatchOutcome, ServerError> {
-        // The XTABLE compiler has no bound form — its queries read the
-        // staged `applicable_policy` row. Stage into a copy-on-write
-        // fork: cloning the database is a few `Arc` bumps, and the two
-        // staging statements rewrite only the one-row staging table.
-        let mut db = self.db.clone();
-        refschema::stage_applicable(&mut db, policy_id)?;
-        let translate_span = span!("translate");
-        let t0 = Instant::now();
-        let (plans, cached) = self.xtable_plans(ruleset)?;
-        let convert = t0.elapsed();
-        drop(translate_span);
-        let _execute_span = span!("execute");
-        let t1 = Instant::now();
-        let verdict = staged_verdict(&db, ruleset, &plans)?;
-        Ok(MatchOutcome::computed(
-            verdict,
-            convert,
-            t1.elapsed(),
-            cached,
-        ))
     }
 
     fn match_xquery_native(
@@ -783,12 +756,13 @@ impl PolicyServer {
     }
 
     /// Match a preference against **every** installed policy
-    /// set-at-a-time (paper §3's core argument): the SQL engines run
-    /// one corpus query per rule — O(rules) query executions instead of
-    /// O(policies × rules) — and fold first-matching-rule semantics
-    /// client-side over the returned policy-id sets. The native APPEL
-    /// and XQuery engines answer the same API through a per-policy
-    /// loop, so every engine is comparable.
+    /// set-at-a-time (paper §3's core argument): the SQL-backed engines
+    /// (both APPEL→SQL schemas and XTABLE) run one corpus query per
+    /// rule — O(rules) query executions instead of O(policies × rules)
+    /// — and fold first-matching-rule semantics client-side over the
+    /// returned policy-id sets. The native APPEL and XQuery-on-XML
+    /// engines answer the same API through a per-policy loop, so every
+    /// engine is comparable.
     ///
     /// Results are `(policy name, verdict)` pairs in name order;
     /// policies no rule matches get the APPEL default-block verdict,
@@ -885,10 +859,10 @@ impl PolicyServer {
         subset: Option<&[String]>,
     ) -> Result<Vec<(String, Verdict)>, ServerError> {
         match engine {
-            EngineKind::Sql => self.bulk_sql(ruleset, subset, false),
-            EngineKind::SqlGeneric => self.bulk_sql(ruleset, subset, true),
-            EngineKind::XQueryXTable => self.bulk_xtable(ruleset, subset),
-            _ => self.bulk_fallback(ruleset, engine, subset),
+            EngineKind::Native | EngineKind::XQueryNative => {
+                self.bulk_fallback(ruleset, engine, subset)
+            }
+            _ => self.bulk_sql(ruleset, engine, subset),
         }
     }
 
@@ -909,42 +883,27 @@ impl PolicyServer {
         }
     }
 
-    /// Set-at-a-time SQL path: one corpus query per rule. Later rules
-    /// only need to decide policies no earlier rule matched, so once
-    /// the undecided set shrinks below the full corpus the cached plan
-    /// is narrowed with a `policy_id IN (…)` conjunct, which the
-    /// executor answers with per-value index probes instead of a scan.
+    /// Set-at-a-time path of the SQL-backed engines: one corpus query
+    /// per rule. Later rules only need to decide policies no earlier
+    /// rule matched, so once the undecided set shrinks below the full
+    /// corpus the cached plan is narrowed with a `policy_id IN (…)`
+    /// conjunct, which the executor answers with per-value index probes
+    /// instead of a scan.
     fn bulk_sql(
         &self,
         ruleset: &Ruleset,
+        engine: EngineKind,
         subset: Option<&[String]>,
-        generic: bool,
     ) -> Result<Vec<(String, Verdict)>, ServerError> {
         let roster = self.roster(subset)?;
         let total_installed = self.catalog.ids.len();
-        let variant = if generic {
-            TranslationVariant::GenericCorpus
-        } else {
-            TranslationVariant::OptimizedCorpus
-        };
         let translate_span = span!("translate");
-        let (plans, _cached) = self.translations.get_or_try_insert(ruleset, variant, || {
-            let mut plans = Vec::with_capacity(ruleset.rules.len());
-            for rule in &ruleset.rules {
-                let sql = if generic {
-                    translate_rule_generic_corpus(rule, &self.generic)?
-                } else {
-                    translate_rule_optimized_corpus(rule)?
-                };
-                plans.push(Some(self.db.prepare(&sql)?));
-            }
-            Ok::<_, ServerError>(plans)
-        })?;
+        let (plans, _cached) = self.sql_plans(ruleset, engine, QueryForm::Corpus)?;
         drop(translate_span);
         let _execute_span = span!("execute");
         let queries = metrics::counter_with(
             "p3p_bulk_queries_total",
-            &[("engine", if generic { "sql_generic" } else { "sql" })],
+            &[("engine", engine.metric_label())],
         );
         let mut undecided: Vec<i64> = roster.iter().map(|(id, _)| *id).collect();
         let mut verdicts: HashMap<i64, Verdict> = HashMap::new();
@@ -953,9 +912,6 @@ impl PolicyServer {
                 break;
             }
             let _ctx = QueryContextGuard::rule(index as u64);
-            let plan = plan
-                .as_ref()
-                .expect("corpus translation yields a plan per rule");
             queries.inc();
             let result = if undecided.len() == total_installed {
                 self.db.query_prepared(plan, &[])?
@@ -989,36 +945,6 @@ impl PolicyServer {
             .collect())
     }
 
-    /// Corpus sweep for the XTABLE engine. Each policy does the same
-    /// work as [`Self::match_xtable`], but the sweep-invariant costs are
-    /// hoisted out of the loop: the preference is translated and
-    /// prepared once (one translation-cache lookup instead of one per
-    /// policy) and a single copy-on-write fork holds the staging row,
-    /// restaged per policy instead of re-cloning the database each
-    /// time. That hoisting is what keeps the bulk path at least as fast
-    /// as the per-policy loop for this engine.
-    fn bulk_xtable(
-        &self,
-        ruleset: &Ruleset,
-        subset: Option<&[String]>,
-    ) -> Result<Vec<(String, Verdict)>, ServerError> {
-        let roster = self.roster(subset)?;
-        if roster.is_empty() {
-            return Ok(Vec::new());
-        }
-        let translate_span = span!("translate");
-        let (plans, _cached) = self.xtable_plans(ruleset)?;
-        drop(translate_span);
-        let _execute_span = span!("execute");
-        let mut db = self.db.clone();
-        let mut out = Vec::with_capacity(roster.len());
-        for (id, name) in roster {
-            refschema::stage_applicable(&mut db, id)?;
-            out.push((name, staged_verdict(&db, ruleset, &plans)?));
-        }
-        Ok(out)
-    }
-
     /// Engines without a set-at-a-time form answer the corpus API with
     /// a per-policy loop, so benches and callers can compare them
     /// against the bulk SQL path on equal terms.
@@ -1034,35 +960,12 @@ impl PolicyServer {
             let outcome = match engine {
                 EngineKind::Native => self.match_native(ruleset, id)?,
                 EngineKind::XQueryNative => self.match_xquery_native(ruleset, id)?,
-                EngineKind::Sql | EngineKind::SqlGeneric | EngineKind::XQueryXTable => {
-                    unreachable!("these engines use dedicated set-at-a-time paths")
-                }
+                _ => unreachable!("{engine:?} sweeps set-at-a-time"),
             };
             out.push((name, outcome.verdict));
         }
         Ok(out)
     }
-}
-
-/// The XTABLE engine's verdict for the policy staged in `db`'s
-/// `applicable_policy` row: the first rule whose query returns a row
-/// fires, and an unconditional (OTHERWISE) rule fires without one.
-fn staged_verdict(
-    db: &Database,
-    ruleset: &Ruleset,
-    plans: &TranslatedPlans,
-) -> Result<Verdict, ServerError> {
-    for (index, (rule, plan)) in ruleset.rules.iter().zip(plans.iter()).enumerate() {
-        let _ctx = QueryContextGuard::rule(index as u64);
-        let hit = match plan {
-            Some(plan) => !db.query_prepared(plan, &[])?.is_empty(),
-            None => true,
-        };
-        if hit {
-            return Ok(fired(rule, index));
-        }
-    }
-    Ok(Verdict::default_block())
 }
 
 /// Append `applicable_policy.policy_id IN (…)` to a corpus query so it
@@ -1271,6 +1174,46 @@ mod tests {
             .match_preference(&pref, Target::Policy("volga"), EngineKind::XQueryNative)
             .unwrap();
         assert_eq!(xmlstore.verdict.behavior, Behavior::Block);
+    }
+
+    #[test]
+    fn xtable_matches_bind_the_policy_id_without_touching_the_plan_cache() {
+        let s = server_with_volga();
+        let jane = jane_preference();
+        let xtable = || {
+            s.match_preference(&jane, Target::Policy("volga"), EngineKind::XQueryXTable)
+                .unwrap()
+        };
+        let warm = xtable();
+        let before = s.database().plan_cache_stats();
+        let again = xtable();
+        assert!(again.cached);
+        assert_eq!(again.verdict, warm.verdict);
+        assert_eq!(s.database().plan_cache_stats(), before);
+    }
+
+    #[test]
+    fn xtable_sweeps_run_set_at_a_time_on_the_columnar_kernels() {
+        let mut s = PolicyServer::new();
+        for p in p3p_workload::corpus_n(42, 120) {
+            s.install_policy(&p).unwrap();
+        }
+        let mut row_engine = s.clone_state();
+        row_engine.database_mut().set_options(ExecOptions {
+            columnar: false,
+            ..ExecOptions::default()
+        });
+        let high = p3p_workload::Sensitivity::High.ruleset();
+        let sweep = |server: &PolicyServer| {
+            let verdicts = server
+                .match_corpus(&high, EngineKind::XQueryXTable)
+                .unwrap();
+            (verdicts, p3p_minidb::exec::stats_snapshot())
+        };
+        let (columnar, columnar_stats) = sweep(&s);
+        let (row, row_stats) = sweep(&row_engine);
+        assert_eq!(columnar, row);
+        assert_ne!(columnar_stats, row_stats);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! features actually occur, so the minimal subset is read off a report
 //! instead of guessed.
 
-use crate::appel2sql::{translate_rule_generic, translate_rule_optimized};
+use crate::appel2sql::{translate_rule_generic, translate_rule_optimized, QueryForm};
 use crate::appel2xquery::translate_rule_xquery;
 use crate::error::ServerError;
 use crate::generic::GenericSchema;
@@ -83,9 +83,9 @@ pub fn sql_subset(preferences: &[Ruleset], generic: bool) -> Result<SqlFeatures,
     for ruleset in preferences {
         for rule in &ruleset.rules {
             let sql = if generic {
-                translate_rule_generic(rule, &schema)?
+                translate_rule_generic(rule, &schema, QueryForm::Staged)?
             } else {
-                translate_rule_optimized(rule)?
+                translate_rule_optimized(rule, QueryForm::Staged)?
             };
             let stmt = parse_statement(&sql)?;
             let Statement::Select(select) = stmt else {

@@ -1,50 +1,34 @@
 //! Per-ruleset translation cache.
 //!
 //! Translating an APPEL ruleset to SQL (or XQuery compiled down to SQL)
-//! is pure: the output depends only on the ruleset and the target
-//! dialect, never on which policy is being matched. The server
+//! is pure: the output depends only on the ruleset, the engine and the
+//! query form, never on which policy is being matched. The server
 //! therefore fingerprints each ruleset and caches the translated,
 //! *prepared* plans, so a preference that is matched against the whole
 //! policy corpus pays the translate + parse + validate cost exactly
 //! once. Policy identity enters the queries as a bound parameter (see
-//! [`crate::appel2sql::translate_rule_optimized_bound`]), which is what
-//! makes the plans reusable across policies in the first place.
+//! [`QueryForm::Bound`]), which is what makes the plans reusable across
+//! policies in the first place.
 //!
-//! The cache is keyed by `(fingerprint, variant)` where the fingerprint
-//! is a 64-bit hash of the ruleset structure and the variant selects
-//! the translation dialect. Values are shared slices of prepared plans
-//! (`None` marks an unconditional rule in the XTable dialect, which
-//! produces no query at all). The store is a 128-entry
-//! [`p3p_minidb::lru::Lru`], the LRU behind the plan and verdict caches
-//! too, reporting to the `p3p_translation_cache_*_total` counters.
+//! The cache is keyed by `(fingerprint, engine, form)` where the
+//! fingerprint is a 64-bit hash of the ruleset structure. Values are
+//! shared slices of prepared plans, one per rule. The store is a
+//! 128-entry [`p3p_minidb::lru::Lru`], the LRU behind the plan and
+//! verdict caches too, reporting to the `p3p_translation_cache_*_total`
+//! counters.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::appel2sql::QueryForm;
+use crate::server::EngineKind;
 use p3p_appel::Ruleset;
 use p3p_minidb::lru::{CacheStats, SharedLru};
 use p3p_minidb::Prepared;
 
-/// Which translation dialect a cache entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TranslationVariant {
-    /// Optimized relational schema (paper Fig. 14).
-    Optimized,
-    /// Generic edge/attribute schema (paper Fig. 8).
-    Generic,
-    /// XQuery translated and compiled against the XTable encoding.
-    XTable,
-    /// Set-at-a-time corpus queries against the optimized schema:
-    /// each rule returns every matching `policy_id` in one execution.
-    OptimizedCorpus,
-    /// Set-at-a-time corpus queries against the generic schema.
-    GenericCorpus,
-}
-
-/// A cached translation: one slot per rule, in ruleset order. `None`
-/// marks a rule that needs no query (unconditional XTable rule).
-pub type TranslatedPlans = Arc<[Option<Prepared>]>;
+/// A cached translation: one prepared plan per rule, in ruleset order.
+pub type TranslatedPlans = Arc<[Prepared]>;
 
 const TRANSLATION_CACHE_CAPACITY: usize = 128;
 
@@ -55,7 +39,7 @@ const TRANSLATION_CACHE_CAPACITY: usize = 128;
 /// matchers benefit from each other's translations.
 #[derive(Debug, Clone)]
 pub struct TranslationCache {
-    lru: SharedLru<(u64, TranslationVariant), TranslatedPlans>,
+    lru: SharedLru<(u64, EngineKind, QueryForm), TranslatedPlans>,
 }
 
 impl Default for TranslationCache {
@@ -76,16 +60,17 @@ impl TranslationCache {
         hasher.finish()
     }
 
-    /// Look up the translation for `ruleset` in `variant`, building it
-    /// with `build` on a miss. Returns the plans plus whether they came
-    /// from the cache. Failed translations are not cached.
+    /// Look up `engine`'s translation of `ruleset` in `form`, building
+    /// it with `build` on a miss. Returns the plans plus whether they
+    /// came from the cache. Failed translations are not cached.
     pub fn get_or_try_insert<E>(
         &self,
         ruleset: &Ruleset,
-        variant: TranslationVariant,
-        build: impl FnOnce() -> Result<Vec<Option<Prepared>>, E>,
+        engine: EngineKind,
+        form: QueryForm,
+        build: impl FnOnce() -> Result<Vec<Prepared>, E>,
     ) -> Result<(TranslatedPlans, bool), E> {
-        let key = (Self::fingerprint(ruleset), variant);
+        let key = (Self::fingerprint(ruleset), engine, form);
         {
             let mut lru = self.lru.lock();
             if let Some(plans) = lru.get(&key) {
@@ -128,8 +113,8 @@ mod tests {
         )])
     }
 
-    fn plans() -> Vec<Option<Prepared>> {
-        vec![None]
+    fn plans() -> Vec<Prepared> {
+        Vec::new()
     }
 
     #[test]
@@ -151,11 +136,11 @@ mod tests {
         let cache = TranslationCache::default();
         let rs = ruleset(Behavior::Request);
         let (_, cached) = cache
-            .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || Ok(plans()))
+            .get_or_try_insert::<()>(&rs, EngineKind::Sql, QueryForm::Bound, || Ok(plans()))
             .unwrap();
         assert!(!cached);
         let (_, cached) = cache
-            .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || {
+            .get_or_try_insert::<()>(&rs, EngineKind::Sql, QueryForm::Bound, || {
                 panic!("must not rebuild on a hit")
             })
             .unwrap();
@@ -168,19 +153,20 @@ mod tests {
     fn variants_are_cached_independently() {
         let cache = TranslationCache::default();
         let rs = ruleset(Behavior::Request);
-        for variant in [
-            TranslationVariant::Optimized,
-            TranslationVariant::Generic,
-            TranslationVariant::XTable,
-            TranslationVariant::OptimizedCorpus,
-            TranslationVariant::GenericCorpus,
-        ] {
-            let (_, cached) = cache
-                .get_or_try_insert::<()>(&rs, variant, || Ok(plans()))
-                .unwrap();
-            assert!(!cached, "{variant:?} should miss on first use");
+        let engines = [
+            EngineKind::Sql,
+            EngineKind::SqlGeneric,
+            EngineKind::XQueryXTable,
+        ];
+        for engine in engines {
+            for form in [QueryForm::Bound, QueryForm::Corpus] {
+                let (_, cached) = cache
+                    .get_or_try_insert::<()>(&rs, engine, form, || Ok(plans()))
+                    .unwrap();
+                assert!(!cached, "{engine:?} {form:?} should miss on first use");
+            }
         }
-        assert_eq!(cache.len(), 5);
+        assert_eq!(cache.len(), 6);
     }
 
     #[test]
@@ -188,11 +174,11 @@ mod tests {
         let cache = TranslationCache::default();
         let rs = ruleset(Behavior::Request);
         let err: Result<_, &str> =
-            cache.get_or_try_insert(&rs, TranslationVariant::Optimized, || Err("boom"));
+            cache.get_or_try_insert(&rs, EngineKind::Sql, QueryForm::Bound, || Err("boom"));
         assert_eq!(err.unwrap_err(), "boom");
         assert!(cache.is_empty());
         let (_, cached) = cache
-            .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || Ok(plans()))
+            .get_or_try_insert::<()>(&rs, EngineKind::Sql, QueryForm::Bound, || Ok(plans()))
             .unwrap();
         assert!(!cached);
     }
@@ -203,10 +189,10 @@ mod tests {
         let clone = cache.clone();
         let rs = ruleset(Behavior::Request);
         cache
-            .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || Ok(plans()))
+            .get_or_try_insert::<()>(&rs, EngineKind::Sql, QueryForm::Bound, || Ok(plans()))
             .unwrap();
         let (_, cached) = clone
-            .get_or_try_insert::<()>(&rs, TranslationVariant::Optimized, || Ok(plans()))
+            .get_or_try_insert::<()>(&rs, EngineKind::Sql, QueryForm::Bound, || Ok(plans()))
             .unwrap();
         assert!(cached, "clones must see each other's translations");
     }

@@ -16,7 +16,13 @@
 //!   [`XQueryError::TooComplex`], reproducing the missing Medium entry
 //!   of Figure 21 ("The XTABLE translation of the XQuery into SQL was
 //!   too complex for DB2 to execute in this case").
+//!
+//! The outer query is rendered in a [`QueryForm`] over `g_policy`, like
+//! the generic APPEL→SQL translator's, so the server binds the policy
+//! id into XTABLE's SQL (or sweeps the corpus with it) exactly as it
+//! does for the SQL engines.
 
+use crate::appel2sql::{render_form, QueryForm};
 use crate::generic::{sql_quote, GenericSchema};
 use crate::meta_schema;
 use p3p_xquery::ast::{Pred, Step, XQuery};
@@ -39,9 +45,10 @@ impl XTable {
         }
     }
 
-    /// Compile a query to SQL selecting the behavior from
-    /// `applicable_policy` when the path matches.
-    pub fn compile(&self, query: &XQuery) -> Result<String, XQueryError> {
+    /// Compile a query to SQL in `form`: the behavior when the path
+    /// matches the policy under test, or the ids of every matching
+    /// policy for [`QueryForm::Corpus`].
+    pub fn compile(&self, query: &XQuery, form: QueryForm) -> Result<String, XQueryError> {
         if query.size() > self.size_limit {
             return Err(XQueryError::TooComplex {
                 size: query.size(),
@@ -59,9 +66,12 @@ impl XTable {
         }
         let mut aliases = 0usize;
         let cond = self.step_condition(&query.root, None, &mut aliases)?;
-        Ok(format!(
-            "SELECT {} FROM applicable_policy WHERE {cond}",
-            sql_quote(&query.behavior)
+        let policy_table = self.schema.table_for("POLICY");
+        Ok(render_form(
+            form,
+            &query.behavior,
+            &policy_table,
+            Some(&cond),
         ))
     }
 
@@ -209,7 +219,7 @@ mod tests {
     }
 
     fn compile(q: &str) -> Result<String, XQueryError> {
-        compiler().compile(&parse_xquery(q).unwrap())
+        compiler().compile(&parse_xquery(q).unwrap(), QueryForm::Staged)
     }
 
     #[test]
@@ -272,6 +282,7 @@ mod tests {
                     "if (document(\"p\")/POLICY[STATEMENT[PURPOSE[admin or develop]]]) then <block/>",
                 )
                 .unwrap(),
+                QueryForm::Staged,
             )
             .unwrap_err();
         assert!(matches!(err, XQueryError::TooComplex { .. }));
@@ -300,6 +311,7 @@ mod tests {
 
     #[test]
     fn compiled_sql_runs_against_shredded_tables() {
+        use p3p_minidb::Value;
         use p3p_policy::augment::augment_policy;
         use p3p_policy::model::volga_policy;
         use p3p_policy::serialize::policy_to_element;
@@ -307,10 +319,6 @@ mod tests {
         let mut db = p3p_minidb::Database::new();
         let schema = GenericSchema::default();
         schema.install(&mut db).unwrap();
-        db.execute("CREATE TABLE applicable_policy (policy_id INT NOT NULL)")
-            .unwrap();
-        db.execute("INSERT INTO applicable_policy VALUES (1)")
-            .unwrap();
         schema
             .shred(
                 &mut db,
@@ -318,19 +326,23 @@ mod tests {
                 &policy_to_element(&augment_policy(&volga_policy())),
             )
             .unwrap();
+        // The bound form the server runs, with policy 1 as the parameter.
+        let run = |q: &str| {
+            let sql = compiler()
+                .compile(&parse_xquery(q).unwrap(), QueryForm::Bound)
+                .unwrap();
+            let plan = db.prepare(&sql).unwrap();
+            db.query_prepared(&plan, &[Value::Int(1)]).unwrap()
+        };
 
         // Volga: no admin, contact only opt-in → empty result.
-        let sql = compile(
+        assert!(run(
             "if (document(\"p\")/POLICY[STATEMENT[PURPOSE[admin or contact[@required = \"always\"]]]]) then <block/>",
         )
-        .unwrap();
-        assert!(db.query(&sql).unwrap().is_empty());
+        .is_empty());
 
         // current is present → the request query returns one row.
-        let sql2 =
-            compile("if (document(\"p\")/POLICY[STATEMENT[PURPOSE[current]]]) then <request/>")
-                .unwrap();
-        let r = db.query(&sql2).unwrap();
+        let r = run("if (document(\"p\")/POLICY[STATEMENT[PURPOSE[current]]]) then <request/>");
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0].as_str(), Some("request"));
     }

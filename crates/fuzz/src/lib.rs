@@ -184,9 +184,9 @@ pub fn option_variants() -> [(&'static str, ExecOptions); 6] {
 
 /// Run the full oracle on one case: install the policies once, take
 /// the native per-policy loop as the reference, then compare every
-/// engine over the loop, bulk, and sharded paths, the SQL engines and
-/// a sharded XTABLE sweep under every [`option_variants`] entry, and
-/// a snapshot clone.
+/// engine over the loop and bulk paths, the per-policy-loop engines
+/// over a sharded sweep, the three SQL-backed engines under every
+/// [`option_variants`] entry, and a snapshot clone.
 pub fn check_case(case: &FuzzCase) -> CaseReport {
     let mut server = PolicyServer::new();
     for p in &case.policies {
@@ -221,14 +221,10 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
 
     // Sharded corpus sweep off a shared snapshot (three shards so
     // shard-boundary reassembly is actually exercised). Only the
-    // per-policy-loop engines shard; a SQL "sharded" sweep is the bulk
-    // path compared above.
+    // per-policy-loop engines shard; a SQL-backed "sharded" sweep is
+    // the bulk path compared above.
     let pool = MatchPool::new(&SharedServer::new(server.clone_state()));
-    for &engine in &[
-        EngineKind::Native,
-        EngineKind::XQueryXTable,
-        EngineKind::XQueryNative,
-    ] {
+    for &engine in &[EngineKind::Native, EngineKind::XQueryNative] {
         report.verdicts_match(
             &format!("{}/sharded", engine.metric_label()),
             &reference,
@@ -236,13 +232,16 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
         );
     }
 
-    // Every option variant, applied to a snapshot clone: the SQL
-    // engines over the loop and bulk paths, and a sharded XTABLE sweep
-    // off a pool built from that clone, whose shards inherit them.
+    // Every option variant, applied to a snapshot clone: the
+    // SQL-backed engines over the loop and bulk paths.
     for (tag, options) in option_variants() {
         let mut variant = server.clone_state();
         variant.database_mut().set_options(options);
-        for engine in [EngineKind::Sql, EngineKind::SqlGeneric] {
+        for engine in [
+            EngineKind::Sql,
+            EngineKind::SqlGeneric,
+            EngineKind::XQueryXTable,
+        ] {
             let label = engine.metric_label();
             report.verdicts_match(
                 &format!("{label}/loop {tag}"),
@@ -255,12 +254,6 @@ pub fn check_case(case: &FuzzCase) -> CaseReport {
                 variant.match_corpus(&case.ruleset, engine),
             );
         }
-        let pool = MatchPool::new(&SharedServer::new(variant));
-        report.verdicts_match(
-            &format!("xquery_xtable/sharded {tag}"),
-            &reference,
-            pool.match_corpus(&case.ruleset, EngineKind::XQueryXTable, 3),
-        );
     }
 
     // Knob: a COW snapshot clone must answer exactly like the server

@@ -19,7 +19,7 @@
 
 use crate::FuzzCase;
 use p3p_minidb::QueryResult;
-use p3p_server::appel2sql;
+use p3p_server::appel2sql::{self, QueryForm};
 use p3p_server::generic::GenericSchema;
 use p3p_server::PolicyServer;
 
@@ -45,10 +45,10 @@ pub fn check_minidb(case: &FuzzCase) -> MetamorphicReport {
     let schema = GenericSchema::default();
     let mut sqls: Vec<(String, String)> = Vec::new();
     for (i, rule) in case.ruleset.rules.iter().enumerate() {
-        if let Ok(sql) = appel2sql::translate_rule_optimized_corpus(rule) {
+        if let Ok(sql) = appel2sql::translate_rule_optimized(rule, QueryForm::Corpus) {
             sqls.push((format!("rule {i} (optimized)"), sql));
         }
-        if let Ok(sql) = appel2sql::translate_rule_generic_corpus(rule, &schema) {
+        if let Ok(sql) = appel2sql::translate_rule_generic(rule, &schema, QueryForm::Corpus) {
             sqls.push((format!("rule {i} (generic)"), sql));
         }
     }

@@ -48,21 +48,17 @@ pub struct ExecStats {
 impl ExecStats {
     /// Statistics accumulated since `earlier` (field-wise difference).
     pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        self.zip(earlier, |a, b| a - b)
-    }
-
-    fn zip(&self, other: &ExecStats, f: impl Fn(u64, u64) -> u64) -> ExecStats {
         ExecStats {
-            rows_scanned: f(self.rows_scanned, other.rows_scanned),
-            index_probes: f(self.index_probes, other.index_probes),
-            subqueries: f(self.subqueries, other.subqueries),
-            seq_scans: f(self.seq_scans, other.seq_scans),
-            rows_output: f(self.rows_output, other.rows_output),
-            exists_builds: f(self.exists_builds, other.exists_builds),
-            exists_probes: f(self.exists_probes, other.exists_probes),
-            join_hash_builds: f(self.join_hash_builds, other.join_hash_builds),
-            join_hash_probes: f(self.join_hash_probes, other.join_hash_probes),
-            planner_reorders: f(self.planner_reorders, other.planner_reorders),
+            rows_scanned: self.rows_scanned - earlier.rows_scanned,
+            index_probes: self.index_probes - earlier.index_probes,
+            subqueries: self.subqueries - earlier.subqueries,
+            seq_scans: self.seq_scans - earlier.seq_scans,
+            rows_output: self.rows_output - earlier.rows_output,
+            exists_builds: self.exists_builds - earlier.exists_builds,
+            exists_probes: self.exists_probes - earlier.exists_probes,
+            join_hash_builds: self.join_hash_builds - earlier.join_hash_builds,
+            join_hash_probes: self.join_hash_probes - earlier.join_hash_probes,
+            planner_reorders: self.planner_reorders - earlier.planner_reorders,
         }
     }
 }
@@ -88,13 +84,6 @@ pub fn reset_stats() {
     STATS.with(|s| s.set(ExecStats::default()));
 }
 
-/// Add `delta` to the thread's execution statistics: how work done on
-/// other threads on this thread's behalf (a sharded corpus sweep) is
-/// reported where the caller reads it.
-pub fn add_stats(delta: &ExecStats) {
-    bump(|s| *s = s.zip(delta, |a, b| a + b));
-}
-
 pub(crate) fn bump(f: impl FnOnce(&mut ExecStats)) {
     STATS.with(|s| {
         let mut v = s.get();
@@ -115,8 +104,8 @@ struct Binding<'t> {
 }
 
 /// The execution settings a statement runs under. A [`Database`]
-/// holds one value ([`Database::options`]) that its clones, snapshots
-/// and staging forks inherit; the executor reads it once per statement.
+/// holds one value ([`Database::options`]) that its clones and
+/// snapshots inherit; the executor reads it once per statement.
 /// The default is the served configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecOptions {

@@ -48,7 +48,7 @@
 //!
 //! Every execution setting lives in one [`ExecOptions`] value held by
 //! the [`Database`] ([`Database::options`], [`Database::set_options`]):
-//! clones, snapshots and staging forks inherit it, so a setting means
+//! clones and snapshots inherit it, so a setting means
 //! the same thing on every thread that runs a clone.
 //!
 //! ## Example

@@ -12,7 +12,7 @@
 
 use p3p_suite::appel::model::{jane_preference, Behavior};
 use p3p_suite::policy::model::volga_policy;
-use p3p_suite::server::appel2sql::translate_rule_optimized;
+use p3p_suite::server::appel2sql::{translate_rule_optimized, QueryForm};
 use p3p_suite::server::{EngineKind, PolicyServer, Target};
 
 fn main() {
@@ -39,11 +39,11 @@ fn main() {
         jane.to_xml()
     );
 
-    // Show the translation the server runs (paper Figure 15 shape).
+    // Show the rule's SQL in the paper's Figure 15 shape.
     println!("SQL translation of Jane's first rule:");
     println!(
         "{}\n",
-        translate_rule_optimized(&jane.rules[0]).expect("translates")
+        translate_rule_optimized(&jane.rules[0], QueryForm::Staged).expect("translates")
     );
 
     // --- the match ---------------------------------------------------

@@ -14,7 +14,7 @@ use p3p_suite::appel::Ruleset;
 use p3p_suite::policy::compact::CompactPolicy;
 use p3p_suite::policy::model::Policy;
 use p3p_suite::policy::validate;
-use p3p_suite::server::appel2sql::{translate_rule_generic, translate_rule_optimized};
+use p3p_suite::server::appel2sql::{translate_rule_generic, translate_rule_optimized, QueryForm};
 use p3p_suite::server::appel2xquery::translate_rule_xquery;
 use p3p_suite::server::generic::GenericSchema;
 use p3p_suite::server::{EngineKind, PolicyServer, Target};
@@ -155,7 +155,8 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
     for (i, rule) in ruleset.rules.iter().enumerate() {
         println!("-- rule {} (behavior: {})", i + 1, rule.behavior);
         let text = match mode {
-            "generic" => translate_rule_generic(rule, &schema).map_err(|e| e.to_string())?,
+            "generic" => translate_rule_generic(rule, &schema, QueryForm::Staged)
+                .map_err(|e| e.to_string())?,
             "xquery" => {
                 if rule.pattern.is_empty() {
                     "(unconditional rule — no query)".to_string()
@@ -165,7 +166,7 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
                         .to_string()
                 }
             }
-            _ => translate_rule_optimized(rule).map_err(|e| e.to_string())?,
+            _ => translate_rule_optimized(rule, QueryForm::Staged).map_err(|e| e.to_string())?,
         };
         println!("{text}\n");
     }

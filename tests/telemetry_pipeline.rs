@@ -7,7 +7,7 @@ use p3p_suite::appel::model::jane_preference;
 use p3p_suite::minidb::exec::ExecStats;
 use p3p_suite::minidb::explain;
 use p3p_suite::policy::model::volga_policy;
-use p3p_suite::server::appel2sql::translate_rule_optimized;
+use p3p_suite::server::appel2sql::{translate_rule_optimized, QueryForm};
 use p3p_suite::server::{EngineKind, PolicyServer, Target};
 use p3p_suite::telemetry::{metrics, span};
 
@@ -347,12 +347,8 @@ fn explain_names_probed_indexes_for_a_category_rule() {
          </DATA-GROUP></STATEMENT></POLICY></appel:RULE></appel:RULESET>",
     )
     .unwrap();
-    let sql = translate_rule_optimized(&pref.rules[0]).unwrap();
-    // Running the match stages the applicable-policy view the
-    // translated SQL selects from.
-    server
-        .match_preference(&pref, Target::Policy("volga"), EngineKind::Sql)
-        .unwrap();
+    // The bound form is the one the server runs per policy.
+    let sql = translate_rule_optimized(&pref.rules[0], QueryForm::Bound).unwrap();
     let plan = explain(server.database(), &sql).unwrap();
     assert!(plan.contains("index nested loop"), "{plan}");
     assert!(plan.contains(" via "), "plan must name the index: {plan}");
